@@ -2251,4 +2251,67 @@ mod tests {
         let err = sweep(&args("sweep --scenarios bogus")).unwrap_err();
         assert!(err.contains("unknown scenario `bogus`"), "{err}");
     }
+
+    /// The four CI grids (`MINI_SWEEP`, `MINI_DYNAMIC`, `MINI_SCENARIO`,
+    /// `MINI_DYNAMIC_RATIO` in `.github/workflows/ci.yml`) pinned to their
+    /// config fingerprints and checkpoint log names. Both key existing
+    /// checkpoints and partials: a change to either orphans them.
+    #[test]
+    fn ci_grid_fingerprints_and_checkpoint_names_are_pinned() {
+        let grids = [
+            (
+                "--mechanisms identity --matchers offline-opt,greedy \
+                 --sizes 24 --epsilons 0.6 --reps 3 --shards 2 --grid-side 16 --seed 7",
+                "static",
+                "ecd262740fc26f39",
+            ),
+            (
+                "--dynamic --mechanisms identity,hst --matchers hst-greedy,kd-rebuild,random \
+                 --shift-plans always-on,short,long --sizes 16 --epsilons 0.6 \
+                 --shards 2 --grid-side 16 --seed 11",
+                "dynamic",
+                "4a36adca78c514a6",
+            ),
+            (
+                "--mechanisms identity --matchers greedy \
+                 --scenarios uniform,normal,hotspot,poisson-disk,adversarial-cell \
+                 --sizes 16 --epsilons 0.6 --reps 2 --grid-side 16 --seed 7",
+                "static",
+                "7b1994aedc063340",
+            ),
+            (
+                "--dynamic --ratio --mechanisms identity,hst --matchers hst-greedy,dynamic-opt \
+                 --shift-plans always-on,short --sizes 12 --epsilons 0.6 --grid-side 16 --seed 5",
+                "dynamic",
+                "914488396313f6e5",
+            ),
+        ];
+        for (i, (flags, flavor, fingerprint)) in grids.into_iter().enumerate() {
+            let dir = tmp(&format!("pinned-grid-{i}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            // A partition past the job count covers no job: it computes
+            // nothing, yet reports the fingerprint and opens the log.
+            let out = sweep(&args(&format!(
+                "sweep {flags} --partition 64/64 --checkpoint {} --json",
+                dir.display()
+            )))
+            .unwrap();
+            let partial: serde_json::Value = serde_json::from_str(&out).unwrap();
+            assert_eq!(partial["flavor"].as_str(), Some(flavor), "grid {i}");
+            assert_eq!(
+                partial["fingerprint"].as_str(),
+                Some(fingerprint),
+                "grid {i}"
+            );
+            let logs: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            assert_eq!(
+                logs,
+                vec![format!("{flavor}-{fingerprint}.jsonl")],
+                "grid {i}"
+            );
+        }
+    }
 }
