@@ -5,13 +5,13 @@
 //! is unit-testable without spawning processes.
 
 use crate::args::Args;
-use pombm::sweep::{DYNAMIC_FLAVOR, STATIC_FLAVOR};
+use pombm::merge::merge;
+use pombm::sweep::{into_report, run_partition, SweepKind};
 use pombm::{
-    dynamic_competitive_ratio, merge_dynamic, merge_static, registry, run_dynamic_spec,
-    run_dynamic_sweep, run_dynamic_sweep_partition, run_spec, run_sweep, run_sweep_partition,
-    AlgorithmSpec, DynamicConfig, DynamicMeasurement, DynamicPartialSweepReport,
-    DynamicSweepConfig, DynamicSweepReport, EpochConfig, PartialRunStats, PartialSweepReport,
-    PartitionPlan, PartitionRun, PipelineConfig, Role, SweepConfig, SweepReport, DEFAULT_SCENARIO,
+    dynamic_competitive_ratio, registry, run_dynamic_spec, run_spec, AlgorithmSpec, DynamicConfig,
+    DynamicMeasurement, DynamicPartialSweepReport, DynamicSweepConfig, DynamicSweepReport,
+    EpochConfig, PartialRunStats, PartialSweepReport, PartitionPlan, PartitionRun, PipelineConfig,
+    Role, SweepConfig, SweepReport, DEFAULT_SCENARIO,
 };
 use pombm_geom::{seeded_rng, Point};
 use pombm_hst::wire;
@@ -51,9 +51,6 @@ COMMANDS:
               shown with its [oracle-only] role); scenarios are the named
               spatial+temporal workload models (use with --scenario /
               --scenarios)
-  algorithms  deprecated alias for `pombm list algorithms` (plus fault
-              plans; also available as `pombm run --list-algorithms`)
-  scenarios   deprecated alias for `pombm list scenarios`
   obfuscate   demo the TBF mechanism on one location
               --x F --y F [--epsilon F] [--grid-side N] [--samples N] [--seed N]
   publish     build an HST over a grid and write the wire format
@@ -142,14 +139,6 @@ pub fn dispatch(args: &Args) -> Result<String, String> {
         Some("gen") => gen(args),
         Some("run") => run_cmd(args),
         Some("list") => list_cmd(args),
-        Some("algorithms") => {
-            eprintln!("note: `pombm algorithms` is deprecated; use `pombm list algorithms`");
-            Ok(list_algorithms())
-        }
-        Some("scenarios") => {
-            eprintln!("note: `pombm scenarios` is deprecated; use `pombm list scenarios`");
-            Ok(list_scenarios())
-        }
         Some("obfuscate") => obfuscate(args),
         Some("publish") => publish(args),
         Some("inspect") => inspect(args),
@@ -167,10 +156,8 @@ pub fn dispatch(args: &Args) -> Result<String, String> {
 const LIST_TOPICS: &str = "algorithms fault-plans scenarios all";
 
 /// `pombm list [algorithms|fault-plans|scenarios|all]`: the one
-/// catalog-driven listing surface. `pombm algorithms` and
-/// `pombm scenarios` survive as deprecated aliases over the same
-/// section renderers, so every name printed anywhere comes from the
-/// registry catalogs.
+/// catalog-driven listing surface, so every name printed anywhere comes
+/// from the registry catalogs.
 pub fn list_cmd(args: &Args) -> Result<String, String> {
     args.check_known(&[])?;
     let topic = match args.positionals() {
@@ -273,18 +260,6 @@ fn scenarios_section() -> String {
     out
 }
 
-/// `pombm algorithms` (deprecated alias; also `pombm run
-/// --list-algorithms`): the legacy one-page dump, byte-identical to its
-/// pre-`list` output — algorithms plus fault plans.
-pub fn list_algorithms() -> String {
-    format!("{}\n{}", algorithms_section(), fault_plans_section())
-}
-
-/// `pombm scenarios` (deprecated alias): the scenario catalogue.
-pub fn list_scenarios() -> String {
-    scenarios_section()
-}
-
 /// `pombm gen`: write a synthetic or Chengdu-like instance to JSON.
 pub fn gen(args: &Args) -> Result<String, String> {
     args.check_known(&[
@@ -340,11 +315,7 @@ pub fn run_cmd(args: &Args) -> Result<String, String> {
         "threads",
         "json",
         "scan",
-        "list-algorithms",
     ])?;
-    if args.switch("list-algorithms") {
-        return Ok(list_algorithms());
-    }
     let spec = parse_spec(args)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let instance = match (args.get("input"), args.get("scenario")) {
@@ -361,7 +332,7 @@ pub fn run_cmd(args: &Args) -> Result<String, String> {
         }
         (None, None) => {
             return Err("missing instance: use --input FILE or --scenario NAME \
-                 (see `pombm scenarios`)"
+                 (see `pombm list scenarios`)"
                 .to_string());
         }
     };
@@ -917,33 +888,7 @@ pub fn sweep(args: &Args) -> Result<String, String> {
             ..PipelineConfig::default()
         },
     };
-    let Some(partitioning) = partitioning else {
-        let report = run_sweep(&config).map_err(|e| e.to_string())?;
-        if args.switch("json") {
-            return serde_json::to_string_pretty(&report).map_err(|e| e.to_string());
-        }
-        return Ok(render_static_report(&report));
-    };
-    let (partial, stats) =
-        run_sweep_partition(&config, &partitioning).map_err(|e| e.to_string())?;
-    log_checkpoint(&partitioning, stats);
-    if args.switch("partition") {
-        if args.switch("json") {
-            return serde_json::to_string_pretty(&partial).map_err(|e| e.to_string());
-        }
-        return Ok(render_static_partial(&partial));
-    }
-    // --checkpoint without --partition: a resumable full run whose output
-    // is exactly the ordinary sweep report.
-    let report = SweepReport {
-        seed: partial.seed,
-        repetitions: partial.repetitions,
-        cells: partial.cells,
-    };
-    if args.switch("json") {
-        return serde_json::to_string_pretty(&report).map_err(|e| e.to_string());
-    }
-    Ok(render_static_report(&report))
+    sweep_output(args, &config, partitioning)
 }
 
 /// `pombm sweep --dynamic`: the dynamic-fleet sweep product.
@@ -972,31 +917,37 @@ fn dynamic_sweep(
         grid_side: args.get_or("grid-side", 32)?,
         seed: args.get_or("seed", 0)?,
     };
-    let Some(partitioning) = partitioning else {
-        let report = run_dynamic_sweep(&config).map_err(|e| e.to_string())?;
-        if args.switch("json") {
-            return serde_json::to_string_pretty(&report).map_err(|e| e.to_string());
+    sweep_output(args, &config, partitioning)
+}
+
+/// The shared tail of `sweep` and `sweep --dynamic`: runs the whole grid,
+/// one partition, or a checkpointed full run, and renders the result.
+fn sweep_output<K: Render>(
+    args: &Args,
+    config: &K,
+    partitioning: Option<PartitionRun>,
+) -> Result<String, String> {
+    let report = match partitioning {
+        None => pombm::sweep::run(config).map_err(|e| e.to_string())?,
+        Some(partitioning) => {
+            let (partial, stats) =
+                run_partition(config, &partitioning).map_err(|e| e.to_string())?;
+            log_checkpoint(&partitioning, stats);
+            if args.switch("partition") {
+                if args.switch("json") {
+                    return serde_json::to_string_pretty(&partial).map_err(|e| e.to_string());
+                }
+                return Ok(render_partial::<K>(&partial));
+            }
+            // --checkpoint without --partition: a resumable full run whose
+            // output is exactly the ordinary sweep report.
+            into_report::<K>(partial)
         }
-        return Ok(render_dynamic_report(&report));
-    };
-    let (partial, stats) =
-        run_dynamic_sweep_partition(&config, &partitioning).map_err(|e| e.to_string())?;
-    log_checkpoint(&partitioning, stats);
-    if args.switch("partition") {
-        if args.switch("json") {
-            return serde_json::to_string_pretty(&partial).map_err(|e| e.to_string());
-        }
-        return Ok(render_dynamic_partial(&partial));
-    }
-    let report = DynamicSweepReport {
-        seed: partial.seed,
-        horizon: partial.horizon,
-        cells: partial.cells,
     };
     if args.switch("json") {
         return serde_json::to_string_pretty(&report).map_err(|e| e.to_string());
     }
-    Ok(render_dynamic_report(&report))
+    Ok(render_report::<K>(&report))
 }
 
 /// Resolves the `--partition` / `--checkpoint` / `--max-cells` trio into
@@ -1038,239 +989,242 @@ fn log_checkpoint(run: &PartitionRun, stats: PartialRunStats) {
     }
 }
 
-/// The static sweep cell table (shared by `sweep` and `merge` output);
-/// the `wall_ms` column appears iff any cell carries a timing.
-fn static_cell_table(cells: &[pombm::SweepCell]) -> String {
-    let timings = cells.iter().any(|c| c.wall_ms.is_some());
-    // The scenario column appears iff any cell left the default scenario,
-    // mirroring the conditional `wall_ms` column: legacy sweeps render
-    // byte-identically to the pre-scenario table.
-    let scenarios = cells.iter().any(|c| c.scenario.is_some());
-    let mut out = String::new();
-    let scenario_header = if scenarios {
-        format!("{:<16} ", "scenario")
-    } else {
-        String::new()
-    };
-    let _ = writeln!(
-        out,
-        "{scenario_header}{:<10} {:<12} {:>6} {:>6} {:>9} {:>9} {:>9} {:>12}{}",
-        "mechanism",
-        "matcher",
-        "tasks",
-        "eps",
-        "ratio",
-        "min",
-        "max",
-        "opt_dist",
-        if timings { "    wall_ms" } else { "" }
-    );
-    for cell in cells {
-        let wall = cell
-            .wall_ms
-            .map(|ms| format!(" {ms:>10.2}"))
-            .unwrap_or_default();
-        let scenario = if scenarios {
-            format!(
-                "{:<16} ",
-                cell.scenario.as_deref().unwrap_or(DEFAULT_SCENARIO)
-            )
+/// What the console renderers need of a sweep flavour beyond
+/// [`SweepKind`]: its cell table (the two flavours share no columns) and
+/// how its metadata reads in the footers.
+trait Render: SweepKind {
+    /// The cell table, shared by `sweep` and `merge` output; the
+    /// `wall_ms` column appears iff any cell carries a timing.
+    fn cell_table(cells: &[Self::Cell]) -> String;
+
+    /// A report's cells, its measured and skipped counts, and its
+    /// metadata (`3 reps each, seed 7`).
+    fn summary(report: &Self::Report) -> (&[Self::Cell], usize, usize, String);
+
+    /// The metadata a partial's footer names before its seed.
+    fn partial_note(partial: &Self::Partial) -> String;
+}
+
+impl Render for SweepConfig {
+    fn cell_table(cells: &[pombm::SweepCell]) -> String {
+        let timings = cells.iter().any(|c| c.wall_ms.is_some());
+        // The scenario column appears iff any cell left the default scenario,
+        // mirroring the conditional `wall_ms` column: legacy sweeps render
+        // byte-identically to the pre-scenario table.
+        let scenarios = cells.iter().any(|c| c.scenario.is_some());
+        let mut out = String::new();
+        let scenario_header = if scenarios {
+            format!("{:<16} ", "scenario")
         } else {
             String::new()
         };
-        match (&cell.report, &cell.error) {
-            (Some(r), _) => {
-                let _ = writeln!(
-                    out,
-                    "{scenario}{:<10} {:<12} {:>6} {:>6.2} {:>9.4} {:>9.4} {:>9.4} {:>12.2}{wall}",
-                    cell.mechanism,
-                    cell.matcher,
-                    cell.num_tasks,
-                    cell.epsilon,
-                    r.ratio,
-                    r.min_ratio,
-                    r.max_ratio,
-                    r.opt_distance
-                );
-            }
-            (None, Some(e)) => {
-                let _ = writeln!(
-                    out,
-                    "{scenario}{:<10} {:<12} {:>6} {:>6.2} skipped: {e}",
-                    cell.mechanism, cell.matcher, cell.num_tasks, cell.epsilon
-                );
-            }
-            (None, None) => unreachable!("every cell has a report or an error"),
-        }
-    }
-    out
-}
-
-/// The full static sweep console report: table plus summary footer.
-fn render_static_report(report: &SweepReport) -> String {
-    let mut out = static_cell_table(&report.cells);
-    let _ = writeln!(
-        out,
-        "{} cells measured, {} skipped ({} reps each, seed {})",
-        report.measured().count(),
-        report.failed().count(),
-        report.repetitions,
-        report.seed
-    );
-    out
-}
-
-/// Console rendering of one static partition's partial report.
-fn render_static_partial(partial: &PartialSweepReport) -> String {
-    let covers = partial.covers();
-    let mut out = format!(
-        "partition {}/{} (static sweep): jobs {}..{} of {}, fingerprint {}\n",
-        partial.partition_index,
-        partial.partition_count,
-        covers.start,
-        covers.end,
-        partial.total_jobs,
-        partial.fingerprint
-    );
-    out.push_str(&static_cell_table(&partial.cells));
-    let _ = writeln!(
-        out,
-        "{} cells covered ({} reps each, seed {}); merge with `pombm merge`",
-        partial.cells.len(),
-        partial.repetitions,
-        partial.seed
-    );
-    out
-}
-
-/// The dynamic sweep cell table (shared by `sweep --dynamic` and `merge`).
-fn dynamic_cell_table(cells: &[pombm::DynamicSweepCell]) -> String {
-    let timings = cells.iter().any(|c| c.wall_ms.is_some());
-    // Conditional column, as in [`static_cell_table`]: absent on
-    // all-default-scenario sweeps so the legacy table survives unchanged.
-    let scenarios = cells.iter().any(|c| c.scenario.is_some());
-    // Ratio and drop-latency columns appear iff the sweep ran with
-    // --ratio, so plain dynamic tables stay byte-identical.
-    let ratios = cells.iter().any(|c| c.competitive_ratio.is_some());
-    let mut out = String::new();
-    let scenario_header = if scenarios {
-        format!("{:<16} ", "scenario")
-    } else {
-        String::new()
-    };
-    let ratio_header = if ratios {
-        format!(" {:>8} {:>9} {:>9}", "ratio", "drop_p50", "drop_p95")
-    } else {
-        String::new()
-    };
-    let _ = writeln!(
-        out,
-        "{scenario_header}{:<10} {:<11} {:<10} {:>6} {:>5} {:>8} {:>8} {:>8} {:>12} {:>6}\
-         {ratio_header}{}",
-        "mechanism",
-        "matcher",
-        "plan",
-        "tasks",
-        "eps",
-        "rate",
-        "assigned",
-        "dropped",
-        "distance",
-        "peak",
-        if timings { "    wall_ms" } else { "" }
-    );
-    for cell in cells {
-        let wall = cell
-            .wall_ms
-            .map(|ms| format!(" {ms:>10.2}"))
-            .unwrap_or_default();
-        let scenario = if scenarios {
-            format!(
-                "{:<16} ",
-                cell.scenario.as_deref().unwrap_or(DEFAULT_SCENARIO)
-            )
-        } else {
-            String::new()
-        };
-        let ratio_cols = if ratios {
-            let fmt = |v: Option<f64>, width: usize| match v {
-                Some(v) => format!(" {v:>width$.4}"),
-                // A ratio cell whose latency percentile is undefined
-                // (nothing dropped, or drops with no later shift).
-                None => format!(" {:>width$}", "-"),
+        let _ = writeln!(
+            out,
+            "{scenario_header}{:<10} {:<12} {:>6} {:>6} {:>9} {:>9} {:>9} {:>12}{}",
+            "mechanism",
+            "matcher",
+            "tasks",
+            "eps",
+            "ratio",
+            "min",
+            "max",
+            "opt_dist",
+            if timings { "    wall_ms" } else { "" }
+        );
+        for cell in cells {
+            let wall = cell
+                .wall_ms
+                .map(|ms| format!(" {ms:>10.2}"))
+                .unwrap_or_default();
+            let scenario = if scenarios {
+                format!(
+                    "{:<16} ",
+                    cell.scenario.as_deref().unwrap_or(DEFAULT_SCENARIO)
+                )
+            } else {
+                String::new()
             };
-            format!(
-                "{}{}{}",
-                fmt(cell.competitive_ratio, 8),
-                fmt(cell.drop_latency_p50, 9),
-                fmt(cell.drop_latency_p95, 9)
-            )
+            match (&cell.report, &cell.error) {
+                (Some(r), _) => {
+                    let _ = writeln!(
+                        out,
+                        "{scenario}{:<10} {:<12} {:>6} {:>6.2} {:>9.4} {:>9.4} {:>9.4} {:>12.2}{wall}",
+                        cell.mechanism,
+                        cell.matcher,
+                        cell.num_tasks,
+                        cell.epsilon,
+                        r.ratio,
+                        r.min_ratio,
+                        r.max_ratio,
+                        r.opt_distance
+                    );
+                }
+                (None, Some(e)) => {
+                    let _ = writeln!(
+                        out,
+                        "{scenario}{:<10} {:<12} {:>6} {:>6.2} skipped: {e}",
+                        cell.mechanism, cell.matcher, cell.num_tasks, cell.epsilon
+                    );
+                }
+                (None, None) => unreachable!("every cell has a report or an error"),
+            }
+        }
+        out
+    }
+
+    fn summary(report: &SweepReport) -> (&[pombm::SweepCell], usize, usize, String) {
+        (
+            &report.cells,
+            report.measured().count(),
+            report.failed().count(),
+            format!("{} reps each, seed {}", report.repetitions, report.seed),
+        )
+    }
+
+    fn partial_note(partial: &PartialSweepReport) -> String {
+        format!("{} reps each, ", partial.repetitions)
+    }
+}
+
+impl Render for DynamicSweepConfig {
+    fn cell_table(cells: &[pombm::DynamicSweepCell]) -> String {
+        let timings = cells.iter().any(|c| c.wall_ms.is_some());
+        // Conditional column, as in the static table: absent on
+        // all-default-scenario sweeps so the legacy table survives unchanged.
+        let scenarios = cells.iter().any(|c| c.scenario.is_some());
+        // Ratio and drop-latency columns appear iff the sweep ran with
+        // --ratio, so plain dynamic tables stay byte-identical.
+        let ratios = cells.iter().any(|c| c.competitive_ratio.is_some());
+        let mut out = String::new();
+        let scenario_header = if scenarios {
+            format!("{:<16} ", "scenario")
         } else {
             String::new()
         };
-        match (&cell.measurement, &cell.error) {
-            (Some(m), _) => {
-                let _ = writeln!(
-                    out,
-                    "{scenario}{:<10} {:<11} {:<10} {:>6} {:>5.2} {:>8.4} {:>8} {:>8} \
-                     {:>12.2} {:>6}{ratio_cols}{wall}",
-                    cell.mechanism,
-                    cell.matcher,
-                    cell.plan,
-                    cell.num_tasks,
-                    cell.epsilon,
-                    m.assignment_rate,
-                    m.assigned,
-                    m.dropped,
-                    m.total_distance,
-                    m.peak_available
-                );
+        let ratio_header = if ratios {
+            format!(" {:>8} {:>9} {:>9}", "ratio", "drop_p50", "drop_p95")
+        } else {
+            String::new()
+        };
+        let _ = writeln!(
+            out,
+            "{scenario_header}{:<10} {:<11} {:<10} {:>6} {:>5} {:>8} {:>8} {:>8} {:>12} {:>6}\
+             {ratio_header}{}",
+            "mechanism",
+            "matcher",
+            "plan",
+            "tasks",
+            "eps",
+            "rate",
+            "assigned",
+            "dropped",
+            "distance",
+            "peak",
+            if timings { "    wall_ms" } else { "" }
+        );
+        for cell in cells {
+            let wall = cell
+                .wall_ms
+                .map(|ms| format!(" {ms:>10.2}"))
+                .unwrap_or_default();
+            let scenario = if scenarios {
+                format!(
+                    "{:<16} ",
+                    cell.scenario.as_deref().unwrap_or(DEFAULT_SCENARIO)
+                )
+            } else {
+                String::new()
+            };
+            let ratio_cols = if ratios {
+                let fmt = |v: Option<f64>, width: usize| match v {
+                    Some(v) => format!(" {v:>width$.4}"),
+                    // A ratio cell whose latency percentile is undefined
+                    // (nothing dropped, or drops with no later shift).
+                    None => format!(" {:>width$}", "-"),
+                };
+                format!(
+                    "{}{}{}",
+                    fmt(cell.competitive_ratio, 8),
+                    fmt(cell.drop_latency_p50, 9),
+                    fmt(cell.drop_latency_p95, 9)
+                )
+            } else {
+                String::new()
+            };
+            match (&cell.measurement, &cell.error) {
+                (Some(m), _) => {
+                    let _ = writeln!(
+                        out,
+                        "{scenario}{:<10} {:<11} {:<10} {:>6} {:>5.2} {:>8.4} {:>8} {:>8} \
+                         {:>12.2} {:>6}{ratio_cols}{wall}",
+                        cell.mechanism,
+                        cell.matcher,
+                        cell.plan,
+                        cell.num_tasks,
+                        cell.epsilon,
+                        m.assignment_rate,
+                        m.assigned,
+                        m.dropped,
+                        m.total_distance,
+                        m.peak_available
+                    );
+                }
+                (None, Some(e)) => {
+                    let _ = writeln!(
+                        out,
+                        "{scenario}{:<10} {:<11} {:<10} {:>6} {:>5.2} skipped: {e}",
+                        cell.mechanism, cell.matcher, cell.plan, cell.num_tasks, cell.epsilon
+                    );
+                }
+                (None, None) => unreachable!("every cell has a measurement or an error"),
             }
-            (None, Some(e)) => {
-                let _ = writeln!(
-                    out,
-                    "{scenario}{:<10} {:<11} {:<10} {:>6} {:>5.2} skipped: {e}",
-                    cell.mechanism, cell.matcher, cell.plan, cell.num_tasks, cell.epsilon
-                );
-            }
-            (None, None) => unreachable!("every cell has a measurement or an error"),
         }
+        out
     }
+
+    fn summary(report: &DynamicSweepReport) -> (&[pombm::DynamicSweepCell], usize, usize, String) {
+        (
+            &report.cells,
+            report.measured().count(),
+            report.failed().count(),
+            format!("horizon {}, seed {}", report.horizon, report.seed),
+        )
+    }
+
+    fn partial_note(_: &DynamicPartialSweepReport) -> String {
+        String::new()
+    }
+}
+
+/// The full sweep console report: table plus summary footer.
+fn render_report<K: Render>(report: &K::Report) -> String {
+    let (cells, measured, skipped, meta) = K::summary(report);
+    let mut out = K::cell_table(cells);
+    let _ = writeln!(out, "{measured} cells measured, {skipped} skipped ({meta})");
     out
 }
 
-/// The full dynamic sweep console report: table plus summary footer.
-fn render_dynamic_report(report: &DynamicSweepReport) -> String {
-    let mut out = dynamic_cell_table(&report.cells);
-    let _ = writeln!(
-        out,
-        "{} cells measured, {} skipped (horizon {}, seed {})",
-        report.measured().count(),
-        report.failed().count(),
-        report.horizon,
-        report.seed
-    );
-    out
-}
-
-/// Console rendering of one dynamic partition's partial report.
-fn render_dynamic_partial(partial: &DynamicPartialSweepReport) -> String {
-    let covers = partial.covers();
+/// Console rendering of one partition's partial report.
+fn render_partial<K: Render>(partial: &K::Partial) -> String {
+    let head = K::head(partial);
+    let cells = K::cells(partial);
     let mut out = format!(
-        "partition {}/{} (dynamic sweep): jobs {}..{} of {}, fingerprint {}\n",
-        partial.partition_index,
-        partial.partition_count,
-        covers.start,
-        covers.end,
-        partial.total_jobs,
-        partial.fingerprint
+        "partition {}/{} ({} sweep): jobs {}..{} of {}, fingerprint {}\n",
+        head.partition_index,
+        head.partition_count,
+        K::FLAVOR,
+        head.start,
+        head.start + cells.len(),
+        head.total_jobs,
+        head.fingerprint
     );
-    out.push_str(&dynamic_cell_table(&partial.cells));
+    out.push_str(&K::cell_table(cells));
     let _ = writeln!(
         out,
-        "{} cells covered (seed {}); merge with `pombm merge`",
-        partial.cells.len(),
-        partial.seed
+        "{} cells covered ({}seed {}); merge with `pombm merge`",
+        cells.len(),
+        K::partial_note(partial),
+        head.seed
     );
     out
 }
@@ -1308,40 +1262,33 @@ pub fn merge_cmd(args: &Args) -> Result<String, String> {
         ));
     }
     match flavor.as_str() {
-        f if f == STATIC_FLAVOR => {
-            let partials: Vec<PartialSweepReport> = parsed
-                .iter()
-                .map(|(file, value, _)| {
-                    PartialSweepReport::from_value(value).map_err(|e| format!("parse {file}: {e}"))
-                })
-                .collect::<Result<_, _>>()?;
-            let report = merge_static(&partials).map_err(|e| e.to_string())?;
-            if args.switch("json") {
-                serde_json::to_string_pretty(&report).map_err(|e| e.to_string())
-            } else {
-                Ok(render_static_report(&report))
-            }
-        }
-        f if f == DYNAMIC_FLAVOR => {
-            let partials: Vec<DynamicPartialSweepReport> = parsed
-                .iter()
-                .map(|(file, value, _)| {
-                    DynamicPartialSweepReport::from_value(value)
-                        .map_err(|e| format!("parse {file}: {e}"))
-                })
-                .collect::<Result<_, _>>()?;
-            let report = merge_dynamic(&partials).map_err(|e| e.to_string())?;
-            if args.switch("json") {
-                serde_json::to_string_pretty(&report).map_err(|e| e.to_string())
-            } else {
-                Ok(render_dynamic_report(&report))
-            }
-        }
+        SweepConfig::FLAVOR => merged::<SweepConfig>(args, &parsed),
+        DynamicSweepConfig::FLAVOR => merged::<DynamicSweepConfig>(args, &parsed),
         other => Err(format!(
-            "{}: unknown partial flavour `{other}` (expected `{STATIC_FLAVOR}` or \
-             `{DYNAMIC_FLAVOR}`)",
-            parsed[0].0
+            "{}: unknown partial flavour `{other}` (expected `{}` or `{}`)",
+            parsed[0].0,
+            SweepConfig::FLAVOR,
+            DynamicSweepConfig::FLAVOR
         )),
+    }
+}
+
+/// Parses one flavour's partials, merges them and renders the report.
+fn merged<K: Render>(
+    args: &Args,
+    parsed: &[(&String, serde_json::Value, String)],
+) -> Result<String, String> {
+    let partials: Vec<K::Partial> = parsed
+        .iter()
+        .map(|(file, value, _)| {
+            K::Partial::from_value(value).map_err(|e| format!("parse {file}: {e}"))
+        })
+        .collect::<Result<_, _>>()?;
+    let report = merge::<K>(&partials).map_err(|e| e.to_string())?;
+    if args.switch("json") {
+        serde_json::to_string_pretty(&report).map_err(|e| e.to_string())
+    } else {
+        Ok(render_report::<K>(&report))
     }
 }
 
@@ -1575,7 +1522,7 @@ mod tests {
 
     #[test]
     fn algorithms_command_lists_registry() {
-        let out = dispatch(&args("algorithms")).unwrap();
+        let out = dispatch(&args("list algorithms")).unwrap();
         for name in [
             "tbf",
             "lap-gr",
@@ -1589,7 +1536,6 @@ mod tests {
         ] {
             assert!(out.contains(name), "listing missing {name}:\n{out}");
         }
-        assert_eq!(run_cmd(&args("run --list-algorithms")).unwrap(), out);
     }
 
     #[test]
@@ -1614,21 +1560,6 @@ mod tests {
         );
         let err = dispatch(&args("list algorithms scenarios")).unwrap_err();
         assert!(err.contains("at most one topic"), "{err}");
-    }
-
-    #[test]
-    fn deprecated_aliases_render_from_the_same_catalogs() {
-        let algorithms = dispatch(&args("algorithms")).unwrap();
-        let expected = format!(
-            "{}\n{}",
-            dispatch(&args("list algorithms")).unwrap(),
-            dispatch(&args("list fault-plans")).unwrap()
-        );
-        assert_eq!(algorithms, expected);
-        assert_eq!(
-            dispatch(&args("scenarios")).unwrap(),
-            dispatch(&args("list scenarios")).unwrap()
-        );
     }
 
     #[test]
@@ -2120,7 +2051,7 @@ mod tests {
 
     #[test]
     fn scenarios_command_lists_the_catalogue() {
-        let out = list_scenarios();
+        let out = dispatch(&args("list scenarios")).unwrap();
         for name in [
             "uniform",
             "normal",

@@ -380,7 +380,7 @@ pub trait ReportMechanism: Send + Sync {
     /// Registry name (kebab-case).
     fn name(&self) -> &'static str;
 
-    /// One-line description for `--list-algorithms`.
+    /// One-line description for `pombm list algorithms`.
     fn summary(&self) -> &'static str;
 
     /// True when the mechanism needs the server's published artifacts.
@@ -456,7 +456,7 @@ pub trait AssignStrategy: Send + Sync {
     /// Registry name (kebab-case).
     fn name(&self) -> &'static str;
 
-    /// One-line description for `--list-algorithms`.
+    /// One-line description for `pombm list algorithms`.
     fn summary(&self) -> &'static str;
 
     /// True when the matcher needs the server's published artifacts.
@@ -558,7 +558,7 @@ pub trait DynamicAssignStrategy: Send + Sync {
     /// Registry name (kebab-case).
     fn name(&self) -> &'static str;
 
-    /// One-line description for `pombm algorithms`.
+    /// One-line description for `pombm list algorithms`.
     fn summary(&self) -> &'static str;
 
     /// True when the matcher needs the server's published artifacts.

@@ -116,14 +116,16 @@
 //! (`pombm dynamic --ratio` / `pombm sweep --dynamic --ratio` on the
 //! CLI; plain reports stay byte-identical).
 //!
-//! Sweeps also scale past one process: [`sweep::run_sweep_partition`]
-//! computes an `i/N` slice of the job-index space into a self-describing
-//! [`PartialSweepReport`] (optionally checkpointed so an interrupted run
-//! resumes instead of recomputing), and [`merge::merge_static`] /
-//! [`merge::merge_dynamic`] validate a partial set (identical config
-//! fingerprints, disjoint full coverage) and reassemble JSON
-//! byte-identical to a single-process run — `pombm sweep --partition i/N
-//! [--checkpoint DIR]` and `pombm merge <partials..>` on the CLI.
+//! Both sweep flavours run on one engine, generic over
+//! [`sweep::SweepKind`], and scale past one process:
+//! [`sweep::run_partition`] computes an `i/N` slice of the job-index space
+//! into a self-describing partial ([`PartialSweepReport`] /
+//! [`DynamicPartialSweepReport`], optionally checkpointed so an
+//! interrupted run resumes instead of recomputing), and [`merge::merge`]
+//! validates a partial set (identical config fingerprints, disjoint full
+//! coverage) and reassembles JSON byte-identical to a single-process run —
+//! `pombm sweep --partition i/N [--checkpoint DIR]` and `pombm merge
+//! <partials..>` on the CLI.
 
 pub mod algorithm;
 pub mod arrivals;
@@ -144,7 +146,7 @@ pub use algorithm::{
     AssignStrategy, DynamicAssignStrategy, DynamicWorkerPool, PipelineError, PointReporter, Report,
     ReportMechanism,
 };
-pub use arrivals::{simulate_stream, ArrivalProcess, StreamReport};
+pub use arrivals::ArrivalProcess;
 pub use case_study::{run_case_study, CaseStudyAlgorithm, CaseStudyResult};
 pub use dynamic::{run_dynamic, run_dynamic_spec, run_dynamic_with, DynamicConfig, DynamicOutcome};
 pub use epochs::{run_epochs, run_epochs_with, EpochConfig, EpochMetrics, EpochReport};

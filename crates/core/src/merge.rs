@@ -1,27 +1,30 @@
 //! Byte-exact reassembly of partitioned sweep runs.
 //!
-//! [`crate::sweep::run_sweep_partition`] splits a sweep's job-index space
-//! across processes; this module is the other half of that contract:
-//! given the partials, [`merge_static`] / [`merge_dynamic`] validate that
-//! they belong together and cover the space exactly, then reassemble the
-//! cells in job-index order into a report whose JSON serialization is
-//! **byte-identical** to what a single-process [`crate::sweep::run_sweep`]
-//! / [`crate::sweep::run_dynamic_sweep`] of the same configuration would
-//! have produced. Once partials merge byte-exactly, scheduling them on
-//! different machines is just transport — the merge is the trust anchor
-//! of the distributed harness, and CI re-proves it on every run.
+//! [`crate::sweep::run_partition`] splits a sweep's job-index space
+//! across processes; this module is the other half of that contract. Given
+//! the partials, the one generic [`merge`] validates that they belong
+//! together and cover the space exactly, then reassembles the cells in
+//! job-index order into a report whose JSON serialization is
+//! **byte-identical** to what a single-process [`crate::sweep::run`] of the
+//! same configuration would have produced. Like the rest of the sweep
+//! engine it is written once against [`SweepKind`]: the flavour supplies
+//! only field access and its metadata comparison. [`merge_static`] and
+//! [`merge_dynamic`] are the flavour-named calls into it. Once partials
+//! merge byte-exactly, scheduling them on different machines is just
+//! transport — the merge is the trust anchor of the distributed harness,
+//! and CI re-proves it on every run.
 //!
 //! # Validation
 //!
 //! A partial set is merged only if:
 //!
-//! * it is non-empty and every partial carries the expected flavour tag,
-//! * all config [fingerprints](crate::sweep::sweep_fingerprint) are
-//!   identical (same resolved pairings, grids, seed and output-relevant
-//!   pipeline settings — parallelism knobs are excluded since they never
-//!   change cell content),
-//! * the shared metadata (`total_jobs`, `seed`, `repetitions` /
-//!   `horizon`) agrees,
+//! * it is non-empty and every partial carries the flavour's
+//!   [`SweepKind::FLAVOR`] tag,
+//! * all config [fingerprints](crate::sweep::fingerprint) are identical
+//!   (same resolved pairings, grids, seed and output-relevant settings —
+//!   parallelism knobs are excluded since they never change cell content),
+//! * the shared metadata (`total_jobs`, `seed`, and the flavour's
+//!   [`SweepKind::META`] field, `repetitions` or `horizon`) agrees,
 //! * every covered range lies inside the job space, no job index is
 //!   covered twice ([`MergeError::Overlap`]), and none is missed
 //!   ([`MergeError::Gap`]) — silent cell loss is structurally impossible.
@@ -34,8 +37,8 @@
 //! contract meaningful across heterogeneous fleets.
 
 use crate::sweep::{
-    DynamicPartialSweepReport, DynamicSweepReport, PartialSweepReport, SweepReport, DYNAMIC_FLAVOR,
-    STATIC_FLAVOR,
+    DynamicPartialSweepReport, DynamicSweepConfig, DynamicSweepReport, PartialSweepReport,
+    SweepConfig, SweepKind, SweepReport,
 };
 
 /// Why a partial set cannot be merged. Every variant names the offending
@@ -141,53 +144,44 @@ impl std::fmt::Display for MergeError {
 
 impl std::error::Error for MergeError {}
 
-/// Validates flavour/fingerprint/metadata agreement and assembles the
-/// cells of all partials into one job-index-ordered vector — the shared
-/// skeleton of both merges. `meta_check` compares flavour-specific fields
-/// of each partial against the first.
-///
-/// The accessor-per-field shape (rather than a trait) keeps the two
-/// partial types plain serializable structs; the argument count is the
-/// cost of that.
-// One accessor argument per compared field — see the doc note above.
-#[allow(clippy::too_many_arguments)]
-fn assemble<'a, P, C>(
-    partials: &'a [P],
-    expected_flavor: &'static str,
-    flavor: impl Fn(&P) -> &str,
-    fingerprint: impl Fn(&P) -> &str,
-    total_jobs: impl Fn(&P) -> usize,
-    start: impl Fn(&P) -> usize,
-    cells: impl Fn(&'a P) -> &'a [C],
-    meta_check: impl Fn(&P, &P) -> Option<&'static str>,
-) -> Result<Vec<&'a C>, MergeError> {
+/// Merges a disjoint, fully covering set of partials (in any order) into
+/// the report a single-process run of the same configuration would
+/// produce, stripping machine-dependent `wall_ms` columns. Serializing the
+/// result yields byte-identical JSON to `pombm sweep --json` without
+/// `--timings`.
+pub fn merge<K: SweepKind>(partials: &[K::Partial]) -> Result<K::Report, MergeError> {
     let first = partials.first().ok_or(MergeError::NoPartials)?;
-    let total = total_jobs(first);
+    let reference = K::head(first);
+    let total = reference.total_jobs;
     for (i, partial) in partials.iter().enumerate() {
-        if flavor(partial) != expected_flavor {
+        let head = K::head(partial);
+        if head.flavor != K::FLAVOR {
             return Err(MergeError::WrongFlavor {
                 partial: i,
-                expected: expected_flavor,
-                found: flavor(partial).to_string(),
+                expected: K::FLAVOR,
+                found: head.flavor,
             });
         }
-        if fingerprint(partial) != fingerprint(first) {
+        if head.fingerprint != reference.fingerprint {
             return Err(MergeError::FingerprintMismatch {
                 partial: i,
-                expected: fingerprint(first).to_string(),
-                found: fingerprint(partial).to_string(),
+                expected: reference.fingerprint,
+                found: head.fingerprint,
             });
         }
-        if total_jobs(partial) != total {
-            return Err(MergeError::MetadataMismatch {
-                partial: i,
-                field: "total_jobs",
-            });
-        }
-        if let Some(field) = meta_check(first, partial) {
+        let field = if head.total_jobs != total {
+            Some("total_jobs")
+        } else if head.seed != reference.seed {
+            Some("seed")
+        } else if !K::same_meta(first, partial) {
+            Some(K::META)
+        } else {
+            None
+        };
+        if let Some(field) = field {
             return Err(MergeError::MetadataMismatch { partial: i, field });
         }
-        let end = start(partial) + cells(partial).len();
+        let end = head.start + K::cells(partial).len();
         if end > total {
             return Err(MergeError::OutOfBounds {
                 partial: i,
@@ -196,106 +190,52 @@ fn assemble<'a, P, C>(
             });
         }
     }
-    let mut slots: Vec<Option<&C>> = vec![None; total];
+    let mut slots: Vec<Option<&K::Cell>> = vec![None; total];
     for partial in partials {
-        for (offset, cell) in cells(partial).iter().enumerate() {
-            let job = start(partial) + offset;
+        let start = K::head(partial).start;
+        for (offset, cell) in K::cells(partial).iter().enumerate() {
+            let job = start + offset;
             if slots[job].is_some() {
                 return Err(MergeError::Overlap { job });
             }
             slots[job] = Some(cell);
         }
     }
-    slots
+    let cells: Vec<&K::Cell> = slots
         .into_iter()
         .enumerate()
         .map(|(job, slot)| slot.ok_or(MergeError::Gap { job }))
-        .collect()
+        .collect::<Result<_, _>>()?;
+    let cells = cells
+        .into_iter()
+        .map(|cell| {
+            let mut cell = cell.clone();
+            *K::wall_ms(&mut cell) = None;
+            cell
+        })
+        .collect();
+    Ok(K::report(first, cells))
 }
 
-/// Merges a disjoint, fully covering set of static partials (in any
-/// order) into the [`SweepReport`] a single-process run of the same
-/// configuration would produce, stripping machine-dependent `wall_ms`
-/// columns. Serializing the result yields byte-identical JSON to
-/// `pombm sweep --json` without `--timings`.
+/// Merges static partials into the [`SweepReport`] of a single-process
+/// `pombm sweep`; [`merge`].
 pub fn merge_static(partials: &[PartialSweepReport]) -> Result<SweepReport, MergeError> {
-    let cells = assemble(
-        partials,
-        STATIC_FLAVOR,
-        |p| &p.flavor,
-        |p| &p.fingerprint,
-        |p| p.total_jobs,
-        |p| p.start,
-        |p| &p.cells,
-        |first, p| {
-            if p.seed != first.seed {
-                Some("seed")
-            } else if p.repetitions != first.repetitions {
-                Some("repetitions")
-            } else {
-                None
-            }
-        },
-    )?;
-    let first = &partials[0];
-    Ok(SweepReport {
-        seed: first.seed,
-        repetitions: first.repetitions,
-        cells: cells
-            .into_iter()
-            .map(|cell| {
-                let mut cell = cell.clone();
-                cell.wall_ms = None;
-                cell
-            })
-            .collect(),
-    })
+    merge::<SweepConfig>(partials)
 }
 
-/// Merges a disjoint, fully covering set of dynamic partials into the
-/// [`DynamicSweepReport`] of a single-process `pombm sweep --dynamic`;
-/// the dynamic counterpart of [`merge_static`].
+/// Merges dynamic partials into the [`DynamicSweepReport`] of a
+/// single-process `pombm sweep --dynamic`; [`merge`].
 pub fn merge_dynamic(
     partials: &[DynamicPartialSweepReport],
 ) -> Result<DynamicSweepReport, MergeError> {
-    let cells = assemble(
-        partials,
-        DYNAMIC_FLAVOR,
-        |p| &p.flavor,
-        |p| &p.fingerprint,
-        |p| p.total_jobs,
-        |p| p.start,
-        |p| &p.cells,
-        |first, p| {
-            if p.seed != first.seed {
-                Some("seed")
-            } else if p.horizon.to_bits() != first.horizon.to_bits() {
-                Some("horizon")
-            } else {
-                None
-            }
-        },
-    )?;
-    let first = &partials[0];
-    Ok(DynamicSweepReport {
-        seed: first.seed,
-        horizon: first.horizon,
-        cells: cells
-            .into_iter()
-            .map(|cell| {
-                let mut cell = cell.clone();
-                cell.wall_ms = None;
-                cell
-            })
-            .collect(),
-    })
+    merge::<DynamicSweepConfig>(partials)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::PipelineConfig;
-    use crate::sweep::{run_sweep, run_sweep_range, sweep_job_count, PartitionPlan, SweepConfig};
+    use crate::sweep::{run_range, run_sweep, sweep_job_count, PartitionPlan, SweepConfig};
 
     fn config() -> SweepConfig {
         SweepConfig {
@@ -324,7 +264,7 @@ mod tests {
             let partials: Vec<_> = (1..=n)
                 .map(|i| {
                     let plan = PartitionPlan::new(i, n).unwrap();
-                    run_sweep_range(&config, plan.slice(total)).unwrap()
+                    run_range(&config, plan.slice(total)).unwrap()
                 })
                 .collect();
             let merged = serde_json::to_string(&merge_static(&partials).unwrap()).unwrap();
@@ -339,7 +279,7 @@ mod tests {
         let mut partials: Vec<_> = (1..=3usize)
             .map(|i| {
                 let plan = PartitionPlan::new(i, 3).unwrap();
-                run_sweep_range(&config, plan.slice(total)).unwrap()
+                run_range(&config, plan.slice(total)).unwrap()
             })
             .collect();
         partials.reverse();
@@ -354,14 +294,14 @@ mod tests {
         let total = sweep_job_count(&config).unwrap();
         assert_eq!(merge_static(&[]).unwrap_err(), MergeError::NoPartials);
 
-        let a = run_sweep_range(&config, 0..total).unwrap();
-        let b = run_sweep_range(&config, 1..2).unwrap();
+        let a = run_range(&config, 0..total).unwrap();
+        let b = run_range(&config, 1..2).unwrap();
         assert_eq!(
             merge_static(&[a.clone(), b]).unwrap_err(),
             MergeError::Overlap { job: 1 }
         );
 
-        let head = run_sweep_range(&config, 0..total - 1).unwrap();
+        let head = run_range(&config, 0..total - 1).unwrap();
         assert_eq!(
             merge_static(&[head]).unwrap_err(),
             MergeError::Gap { job: total - 1 }
@@ -369,7 +309,7 @@ mod tests {
 
         let mut reseeded = config.clone();
         reseeded.base.seed = 5;
-        let other = run_sweep_range(&reseeded, 0..1).unwrap();
+        let other = run_range(&reseeded, 0..1).unwrap();
         assert!(matches!(
             merge_static(&[a.clone(), other]),
             Err(MergeError::FingerprintMismatch { partial: 1, .. })
@@ -382,8 +322,8 @@ mod tests {
             Err(MergeError::WrongFlavor { partial: 0, .. })
         ));
 
-        let head = run_sweep_range(&config, 0..2).unwrap();
-        let mut tail = run_sweep_range(&config, 2..total).unwrap();
+        let head = run_range(&config, 0..2).unwrap();
+        let mut tail = run_range(&config, 2..total).unwrap();
         tail.seed = 99; // hand-edited: fingerprint still matches
         assert_eq!(
             merge_static(&[head, tail]).unwrap_err(),

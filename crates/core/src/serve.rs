@@ -27,9 +27,11 @@
 //! # Δt semantics
 //!
 //! `at` timestamps are *virtual* seconds on the workload timeline; frame
-//! `at` belongs to window `⌊at / batch_interval⌋`. When a frame for a
-//! later window arrives (or on shutdown), the current window flushes in
-//! three phases:
+//! `at` belongs to window `⌊at / batch_interval⌋`. Time only moves
+//! forward: a frame for a window earlier than the current one is a
+//! [`LATE_FRAME`] and is rejected, so no assignment ever crosses back over
+//! a flushed window. When a frame for a later window arrives (or on
+//! shutdown), the current window flushes in three phases:
 //!
 //! 1. **check-ins** — all buffered worker locations are obfuscated in one
 //!    [`ReportMechanism::report_batch`] call (bit-identical to the scalar
@@ -66,7 +68,11 @@
 //! on a bad frame: each decode failure is counted per
 //! [`PipelineError::Transport`] class (a stream that ends without a
 //! shutdown frame counts as [`CHANNEL_CLOSED`]), duplicate deliveries are
-//! absorbed by id, and the session keeps serving.
+//! absorbed by id, and the session keeps serving. Values are checked at
+//! the boundary too: NaN or infinite fields ([`NON_FINITE_FIELD`]),
+//! negative timestamps ([`NEGATIVE_TIMESTAMP`]) and late frames are
+//! rejected classes of their own, so no bad value reaches the window
+//! arithmetic or the distance tally.
 //!
 //! With `queue_cap` set, the task backlog becomes a bounded admission
 //! queue: an arriving task that would overflow it is shed per the
@@ -335,6 +341,17 @@ pub struct ServeOutcome {
 /// before a shutdown frame (sender dropped, channel closed).
 pub const CHANNEL_CLOSED: &str = "channel closed";
 
+/// The Transport class of a frame whose timestamp or coordinates are NaN
+/// or infinite.
+pub const NON_FINITE_FIELD: &str = "non-finite field";
+
+/// The Transport class of a frame stamped before virtual time 0.
+pub const NEGATIVE_TIMESTAMP: &str = "negative timestamp";
+
+/// The Transport class of a frame whose Δt window precedes the window the
+/// engine is already in: it is rejected, never replayed into the past.
+pub const LATE_FRAME: &str = "late frame";
+
 /// The typed error for a request channel that disconnects mid-session.
 /// The serve loop absorbs it as a counted [`FaultReport`] anomaly rather
 /// than aborting, so a truncated frame stream still yields a well-formed
@@ -421,8 +438,10 @@ impl ServeRequest {
     }
 
     /// Decodes one frame, consuming it from `buf`. Truncated frames,
-    /// unknown opcodes and length/opcode mismatches are typed
-    /// [`PipelineError::Transport`] errors, never panics.
+    /// unknown opcodes, length/opcode mismatches, NaN or infinite fields
+    /// ([`NON_FINITE_FIELD`]) and negative timestamps
+    /// ([`NEGATIVE_TIMESTAMP`]) are typed [`PipelineError::Transport`]
+    /// errors, never panics.
     pub fn decode(buf: &mut Bytes) -> Result<Self, PipelineError> {
         let transport = |why| Err(PipelineError::Transport { why });
         if buf.remaining() < 4 {
@@ -437,29 +456,45 @@ impl ServeRequest {
         }
         let opcode = buf.get_u8();
         let body = len - 1;
-        match opcode {
-            OP_CHECK_IN if body == 32 => Ok(ServeRequest::CheckIn {
+        let request = match opcode {
+            OP_CHECK_IN if body == 32 => ServeRequest::CheckIn {
                 worker: buf.get_u64(),
                 at: buf.get_f64(),
                 x: buf.get_f64(),
                 y: buf.get_f64(),
-            }),
-            OP_CHECK_OUT if body == 16 => Ok(ServeRequest::CheckOut {
+            },
+            OP_CHECK_OUT if body == 16 => ServeRequest::CheckOut {
                 worker: buf.get_u64(),
                 at: buf.get_f64(),
-            }),
-            OP_TASK if body == 32 => Ok(ServeRequest::Task {
+            },
+            OP_TASK if body == 32 => ServeRequest::Task {
                 task: buf.get_u64(),
                 at: buf.get_f64(),
                 x: buf.get_f64(),
                 y: buf.get_f64(),
-            }),
-            OP_SHUTDOWN if body == 0 => Ok(ServeRequest::Shutdown),
+            },
+            OP_SHUTDOWN if body == 0 => ServeRequest::Shutdown,
             OP_CHECK_IN | OP_CHECK_OUT | OP_TASK | OP_SHUTDOWN => {
-                transport("length prefix does not match the opcode's body size")
+                return transport("length prefix does not match the opcode's body size")
             }
-            _ => transport("unknown opcode"),
+            _ => return transport("unknown opcode"),
+        };
+        // Values are checked only after the whole frame is consumed, so a
+        // rejected frame never desynchronizes a stream of frames.
+        let (at, x, y) = match request {
+            ServeRequest::CheckIn { at, x, y, .. } | ServeRequest::Task { at, x, y, .. } => {
+                (at, x, y)
+            }
+            ServeRequest::CheckOut { at, .. } => (at, 0.0, 0.0),
+            ServeRequest::Shutdown => return Ok(request),
+        };
+        if !(at.is_finite() && x.is_finite() && y.is_finite()) {
+            return transport(NON_FINITE_FIELD);
         }
+        if at < 0.0 {
+            return transport(NEGATIVE_TIMESTAMP);
+        }
+        Ok(request)
     }
 
     fn timestamp(&self) -> f64 {
@@ -720,14 +755,22 @@ impl<'a> Engine<'a> {
     }
 
     /// Buffers one request, flushing first when it opens a new window.
-    /// Returns `false` when the session should end (shutdown received).
+    /// A request for a window that has already flushed is counted as a
+    /// [`LATE_FRAME`] and dropped. Returns `false` when the session should
+    /// end (shutdown received).
     fn ingest(&mut self, request: ServeRequest) -> Result<bool, PipelineError> {
         if request == ServeRequest::Shutdown {
             self.end_session()?;
             return Ok(false);
         }
-        self.requests += 1;
         let window = self.window_of(request.timestamp());
+        if self.window.is_some_and(|current| window < current) {
+            // Replaying it would rewind the engine: a worker checked in at
+            // a later window could then serve an earlier task.
+            self.note_corrupt(LATE_FRAME);
+            return Ok(true);
+        }
+        self.requests += 1;
         self.advance_to(window)?;
         match request {
             ServeRequest::CheckIn { worker, x, y, .. } => {

@@ -1,30 +1,56 @@
-//! Sharded, registry-wide competitive-ratio sweeps.
+//! Sharded, registry-wide competitive-ratio sweeps: one engine, two
+//! flavours.
 //!
 //! Theorem 3's `O(ε⁻⁴ log N log² k)` bound is a statement about one
 //! algorithm; the registry makes it cheap to ask the empirical question for
-//! *every* `mechanism × matcher` product at once. A sweep takes a set of
-//! mechanisms and matchers (defaulting to the full registry), a grid of
-//! instance sizes and privacy budgets ε, and measures each pairing's
-//! [`RatioReport`] (Definition 8's expectation, estimated by
-//! [`empirical_competitive_ratio`]) on a deterministic synthetic instance
-//! per size.
+//! *every* pairing at once. A sweep takes a set of mechanisms and matchers
+//! (defaulting to the full registry), a grid of instance sizes and privacy
+//! budgets ε, and measures every cell of the product. It comes in two
+//! flavours:
+//!
+//! * **static** ([`SweepConfig`]): each `mechanism × matcher × size × ε`
+//!   cell holds the pairing's [`RatioReport`] (Definition 8's expectation,
+//!   estimated by [`empirical_competitive_ratio`]) on a deterministic
+//!   synthetic instance per size;
+//! * **dynamic** ([`DynamicSweepConfig`]): each `mechanism ×
+//!   dynamic-matcher × shift-plan × size × ε` cell replays one
+//!   deterministic shift/task timeline through
+//!   [`crate::dynamic::run_dynamic_spec`] and records a
+//!   [`DynamicMeasurement`] (assignment rate, total distance, peak
+//!   availability), optionally priced against the clairvoyant
+//!   `dynamic-opt` oracle. Task times and shift plans derive from
+//!   `(seed, size)` and `(seed, size, plan)` alone — identical across
+//!   pairings — so cells differ only in what they measure.
+//!
+//! # One engine
+//!
+//! Both configurations implement [`SweepKind`], and everything else exists
+//! once, generic over it: grid validation, the index-seeded job list, the
+//! config [`fingerprint`], sharded execution with the `wall_ms` stamp, the
+//! checkpoint log, partitioned runs ([`run`], [`run_partition`],
+//! [`run_range`]) and the byte-exact [`crate::merge::merge`]. The engine
+//! never asks which flavour it runs. What differs — the flavour's own axes,
+//! how one job becomes a cell, and the metadata field its partials and
+//! reports carry (`repetitions` or `horizon`) — lives in the two trait
+//! impls. The flavour-named entry points ([`run_sweep`],
+//! [`run_dynamic_sweep_partition`], ...) are one-line calls into it.
 //!
 //! # Sharding and determinism
 //!
-//! The job list — the full `pairing × size × ε` product — is fanned out
-//! over `crossbeam` scoped threads, mirroring [`pombm_privacy::batch`]:
-//! shard `s` takes the `s`-th contiguous chunk of jobs and writes results
-//! through a `parking_lot`-protected output vector, one lock acquisition
-//! per shard. Every job derives its RNG seeds from its *position in the
-//! job list*, never from the shard that happens to execute it, so sweep
-//! output is bit-identical for every shard count: deterministic in `seed`
-//! alone.
+//! The job list — scenario × mechanism × the flavour's axes × size × ε —
+//! is fanned out over `crossbeam` scoped threads, mirroring
+//! [`pombm_privacy::batch`]: shard `s` takes the `s`-th contiguous chunk of
+//! jobs and writes results through a `parking_lot`-protected output
+//! vector, one lock acquisition per shard. Every job derives its RNG seeds
+//! from its *position in the job list*, never from the shard that happens
+//! to execute it, so sweep output is bit-identical for every shard count:
+//! deterministic in the root seed alone.
 //!
-//! Cells can additionally parallelize *within* themselves via
+//! Static cells can additionally parallelize *within* themselves via
 //! [`PipelineConfig::threads`] — the batched obfuscation of
 //! [`crate::algorithm::ReportMechanism::report_batch`] and the blocked
 //! Hungarian behind `offline-opt` and the OPT denominator — without
-//! changing a single output byte, and [`SweepConfig::timings`] records
+//! changing a single output byte. With `timings` on, the engine records
 //! per-cell wall-clock into a `wall_ms` column that is entirely absent
 //! (not `null`) from the JSON when off, keeping golden byte-compares
 //! exact.
@@ -32,41 +58,30 @@
 //! Incompatible pairings (e.g. the `blind` mechanism with any
 //! location-aware matcher) and degenerate measurements (empty instances,
 //! zero-distance optima) do not abort the sweep: each cell records either
-//! a report or the typed error's message, so a full-registry sweep always
-//! completes.
-//!
-//! # The dynamic axis
-//!
-//! [`run_dynamic_sweep`] is the same engine pointed at the event-driven
-//! half of the codebase: a `mechanism × dynamic-matcher × shift-plan ×
-//! size × ε` product where every cell replays one deterministic
-//! shift/task timeline through [`crate::dynamic::run_dynamic_spec`] and
-//! records a [`DynamicMeasurement`] (assignment rate, total distance, peak
-//! availability). Task times and shift plans derive from `(seed, size)`
-//! and `(seed, size, plan)` alone — identical across pairings — while
-//! noise streams derive from the job index, so dynamic sweeps share the
-//! static sweep's shard-count invariance.
+//! a measurement or the typed error's message, so a full-registry sweep
+//! always completes.
 //!
 //! # Partitioned execution and checkpoints
 //!
 //! Because the job list is a pure function of the configuration, the same
 //! invariance extends across *process* boundaries: a [`PartitionPlan`]
 //! (`i/N`) names a contiguous slice of the job-index space, and
-//! [`run_sweep_partition`] / [`run_dynamic_sweep_partition`] compute just
-//! that slice into a self-describing [`PartialSweepReport`] /
-//! [`DynamicPartialSweepReport`] — partition coordinates, a config
-//! [fingerprint](sweep_fingerprint), the covered index range, and the
-//! cells. The [`crate::merge`] module validates a set of partials
-//! (identical fingerprints, disjoint full coverage) and reassembles them
-//! in job-index order into JSON byte-identical to a single-process run,
-//! so scheduling partitions on different machines is just transport.
+//! [`run_partition`] computes just that slice into a self-describing
+//! partial ([`PartialSweepReport`] / [`DynamicPartialSweepReport`]) —
+//! partition coordinates, the config [`fingerprint`], the covered index
+//! range, and the cells. The [`crate::merge`] module validates a set of
+//! partials (identical fingerprints, disjoint full coverage) and
+//! reassembles them in job-index order into JSON byte-identical to a
+//! single-process run, so scheduling partitions on different machines is
+//! just transport.
 //!
 //! Partitioned runs can also checkpoint: with a checkpoint directory,
-//! every completed cell is appended to a fingerprint-keyed JSONL log as
-//! it finishes, and a re-run (same flavour + fingerprint, any partition
-//! spec) resumes from the surviving entries instead of recomputing them.
-//! Resumed output is byte-identical to a fresh run because cells are
-//! deterministic and the JSON encoding round-trips `f64`s exactly.
+//! every completed cell is appended to a `<flavor>-<fingerprint>.jsonl`
+//! log as it finishes, and a re-run (same flavour + fingerprint, any
+//! partition spec) resumes from the surviving entries instead of
+//! recomputing them. Resumed output is byte-identical to a fresh run
+//! because cells are deterministic and the JSON encoding round-trips
+//! `f64`s exactly.
 
 use crate::algorithm::{AssignStrategy, DynamicAssignStrategy, PipelineError, ReportMechanism};
 use crate::dynamic::{run_dynamic_spec, DynamicConfig, DynamicOutcome};
@@ -87,6 +102,136 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// A sweep flavour: what the one engine needs to know about it.
+///
+/// [`SweepConfig`] and [`DynamicSweepConfig`] implement it. Grid
+/// validation, the job list, the [`fingerprint`], sharded and checkpointed
+/// execution, the `wall_ms` stamp and [`crate::merge::merge`] are written
+/// once against this trait. An impl supplies only what differs between the
+/// flavours: its own axes, how one job becomes a cell, and its partial and
+/// report types with their metadata field. The partial and report types
+/// stay plain serializable structs, so the trait reads and writes their
+/// fields through the accessors below.
+pub trait SweepKind: Sync {
+    /// The flavour's own axes of one job, resolved: the matcher (static),
+    /// or the dynamic matcher and its shift-plan kind. [`SweepJob`] adds
+    /// the scenario, mechanism, grid point and seed.
+    type Job: Clone + Sync;
+    /// One measured cell of the product.
+    type Cell: Clone + Send + Serialize + Deserialize;
+    /// One partition's self-describing report.
+    type Partial: Serialize + Deserialize;
+    /// A completed sweep.
+    type Report: Serialize;
+
+    /// The tag partials carry in their `flavor` field; it also prefixes
+    /// the checkpoint log's file name.
+    const FLAVOR: &'static str;
+    /// Name of the metadata field partials and reports carry
+    /// (`repetitions` or `horizon`).
+    const META: &'static str;
+
+    /// The settings every flavour shares.
+    fn grid(&self) -> Grid<'_>;
+
+    /// Flavour-specific configuration checks, run after the shard check
+    /// and before the size and ε checks.
+    fn check(&self) -> Result<(), PipelineError> {
+        Ok(())
+    }
+
+    /// The flavour's own axes resolved into job order, one entry per
+    /// combination, plus each axis's resolved names as fingerprint parts.
+    fn axes(&self) -> Result<(Vec<Self::Job>, Vec<String>), PipelineError>;
+
+    /// The fingerprint parts after the size and ε grids: every other
+    /// setting that shapes cell content.
+    fn fingerprint_tail(&self) -> Vec<String>;
+
+    /// Measures one job. The engine stamps the cell's `wall_ms`.
+    fn run_job(&self, job: &SweepJob<Self::Job>) -> Self::Cell;
+
+    /// A cell's `wall_ms` column.
+    fn wall_ms(cell: &mut Self::Cell) -> &mut Option<f64>;
+
+    /// The partial holding `head` and `cells` under this configuration's
+    /// metadata.
+    fn partial(&self, head: PartialHead, cells: Vec<Self::Cell>) -> Self::Partial;
+
+    /// A partial's fields besides its metadata and cells.
+    fn head(partial: &Self::Partial) -> PartialHead;
+
+    /// A partial's cells.
+    fn cells(partial: &Self::Partial) -> &[Self::Cell];
+
+    /// A partial's cells, mutably.
+    fn cells_mut(partial: &mut Self::Partial) -> &mut Vec<Self::Cell>;
+
+    /// Whether two partials carry the same metadata field.
+    fn same_meta(a: &Self::Partial, b: &Self::Partial) -> bool;
+
+    /// The report holding `cells` under `partial`'s seed and metadata.
+    fn report(partial: &Self::Partial, cells: Vec<Self::Cell>) -> Self::Report;
+}
+
+/// The settings every sweep flavour shares, borrowed from its
+/// configuration.
+pub struct Grid<'a> {
+    /// Workload scenario names; empty means just the legacy `uniform`.
+    pub scenarios: &'a [String],
+    /// Mechanism names; empty means every registered mechanism.
+    pub mechanisms: &'a [String],
+    /// Instance sizes.
+    pub sizes: &'a [usize],
+    /// Privacy budgets ε.
+    pub epsilons: &'a [f64],
+    /// Worker threads the job list is fanned over.
+    pub shards: usize,
+    /// Whether the engine stamps each cell's `wall_ms`.
+    pub timings: bool,
+    /// Root seed: job seeds derive from it, and partials record it.
+    pub seed: u64,
+}
+
+/// One unit of sweep work, fully determined before any thread runs.
+pub struct SweepJob<J> {
+    /// Workload scenario of the cell's instance.
+    pub scenario: Arc<dyn Scenario>,
+    /// Stage-1 mechanism.
+    pub mechanism: Arc<dyn ReportMechanism>,
+    /// The flavour's own axes ([`SweepKind::Job`]).
+    pub axes: J,
+    /// Tasks and workers in the cell's instance.
+    pub size: usize,
+    /// Privacy budget ε of the cell.
+    pub epsilon: f64,
+    /// Seed for this job's noise and shuffle streams; derived from the
+    /// job's position in the job list, never from the executing shard.
+    pub job_seed: u64,
+}
+
+/// The fields both partial report types carry, under the same names,
+/// besides their metadata and cells.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PartialHead {
+    /// [`SweepKind::FLAVOR`]; lets `pombm merge` sniff mixed inputs.
+    pub flavor: String,
+    /// [`fingerprint`] of the producing configuration.
+    pub fingerprint: String,
+    /// 1-based partition number, or `0` for a custom [`run_range`]
+    /// slice.
+    pub partition_index: usize,
+    /// Total partitions, or `0` for a custom slice.
+    pub partition_count: usize,
+    /// Size of the full job-index space the partial was cut from.
+    pub total_jobs: usize,
+    /// First (global) job index the partial covers; it covers
+    /// `start..start + cells.len()`.
+    pub start: usize,
+    /// Root seed of the producing configuration.
+    pub seed: u64,
+}
 
 /// What to sweep: the pairing filter, the instance/ε grid, and the
 /// execution parameters.
@@ -196,17 +341,6 @@ impl SweepReport {
     }
 }
 
-/// One unit of sweep work, fully determined before any thread runs.
-struct Job {
-    scenario: Arc<dyn Scenario>,
-    spec: AlgorithmSpec,
-    size: usize,
-    epsilon: f64,
-    /// Seed for this job's pipeline/shuffle streams; derived from the job's
-    /// position so it is independent of shard assignment.
-    job_seed: u64,
-}
-
 /// The scenario a sweep cell should record: `None` for the `uniform`
 /// default (keeping the column absent from legacy-shaped JSON), the name
 /// otherwise.
@@ -243,128 +377,199 @@ pub fn sweep_instance(seed: u64, size: usize) -> Instance {
     synthetic::generate(&params, &mut seeded_rng(stream, 0x51EE))
 }
 
+/// The mechanisms a sweep runs: the explicit filter resolved against the
+/// registry (listing every registered name on an unknown one), or every
+/// registered mechanism when empty.
 fn resolve_mechanisms(names: &[String]) -> Result<Vec<Arc<dyn ReportMechanism>>, PipelineError> {
     if names.is_empty() {
         return Ok(registry().mechanisms().to_vec());
     }
     names
         .iter()
-        .map(|n| {
-            registry()
-                .mechanism(n)
-                .ok_or_else(|| PipelineError::UnknownEntry {
-                    kind: "mechanism",
-                    name: n.clone(),
-                    known: registry()
-                        .mechanisms()
-                        .iter()
-                        .map(|m| m.name().to_string())
-                        .collect(),
-                })
-        })
+        .map(|n| registry().require_mechanism(n))
         .collect()
 }
 
+/// The static matchers a sweep runs, resolved like
+/// [`resolve_mechanisms`].
 fn resolve_matchers(names: &[String]) -> Result<Vec<Arc<dyn AssignStrategy>>, PipelineError> {
     if names.is_empty() {
         return Ok(registry().matchers().to_vec());
     }
     names
         .iter()
-        .map(|n| {
-            registry()
-                .matcher(n)
-                .ok_or_else(|| PipelineError::UnknownEntry {
-                    kind: "matcher",
-                    name: n.clone(),
-                    known: registry()
-                        .matchers()
-                        .iter()
-                        .map(|m| m.name().to_string())
-                        .collect(),
-                })
-        })
+        .map(|n| registry().require_matcher(n))
         .collect()
 }
 
-fn run_job(job: &Job, base: &PipelineConfig, repetitions: u64, timings: bool) -> SweepCell {
-    // lint: allow(DET-TIME) — the timings-gated wall_ms path itself; the
-    // merge strips wall_ms before fingerprinting.
-    let started = timings.then(std::time::Instant::now);
-    let instance = job.scenario.instance(base.seed, job.size);
-    let config = PipelineConfig {
-        epsilon: job.epsilon,
-        seed: job.job_seed,
-        ..*base
-    };
-    let (report, error) =
-        match empirical_competitive_ratio(&job.spec, &instance, &config, repetitions) {
-            Ok(r) => (Some(r), None),
-            Err(e) => (None, Some(e.to_string())),
+impl SweepKind for SweepConfig {
+    type Job = Arc<dyn AssignStrategy>;
+    type Cell = SweepCell;
+    type Partial = PartialSweepReport;
+    type Report = SweepReport;
+
+    const FLAVOR: &'static str = "static";
+    const META: &'static str = "repetitions";
+
+    fn grid(&self) -> Grid<'_> {
+        Grid {
+            scenarios: &self.scenarios,
+            mechanisms: &self.mechanisms,
+            sizes: &self.sizes,
+            epsilons: &self.epsilons,
+            shards: self.shards,
+            timings: self.timings,
+            seed: self.base.seed,
+        }
+    }
+
+    fn check(&self) -> Result<(), PipelineError> {
+        if self.repetitions == 0 {
+            return Err(PipelineError::InvalidConfig {
+                field: "repetitions",
+                why: "the sweep needs at least one repetition per cell",
+            });
+        }
+        Ok(())
+    }
+
+    fn axes(&self) -> Result<(Vec<Self::Job>, Vec<String>), PipelineError> {
+        let matchers = resolve_matchers(&self.matchers)?;
+        let names = vec![names(&matchers, |m| m.name())];
+        Ok((matchers, names))
+    }
+
+    fn fingerprint_tail(&self) -> Vec<String> {
+        let mut parts = vec![format!("reps={}", self.repetitions)];
+        parts.extend(pipeline_fingerprint_parts(&self.base));
+        parts
+    }
+
+    fn run_job(&self, job: &SweepJob<Self::Job>) -> SweepCell {
+        let instance = job.scenario.instance(self.base.seed, job.size);
+        let config = PipelineConfig {
+            epsilon: job.epsilon,
+            seed: job.job_seed,
+            ..self.base
         };
-    SweepCell {
-        scenario: cell_scenario(job.scenario.as_ref()),
-        mechanism: job.spec.mechanism.name().to_string(),
-        matcher: job.spec.matcher.name().to_string(),
-        num_tasks: instance.num_tasks(),
-        num_workers: instance.num_workers(),
-        epsilon: job.epsilon,
-        report,
-        error,
-        wall_ms: started.map(|s| s.elapsed().as_secs_f64() * 1e3),
+        let spec = AlgorithmSpec::compose(job.mechanism.clone(), job.axes.clone());
+        let (report, error) =
+            match empirical_competitive_ratio(&spec, &instance, &config, self.repetitions) {
+                Ok(r) => (Some(r), None),
+                Err(e) => (None, Some(e.to_string())),
+            };
+        SweepCell {
+            scenario: cell_scenario(job.scenario.as_ref()),
+            mechanism: job.mechanism.name().to_string(),
+            matcher: job.axes.name().to_string(),
+            num_tasks: instance.num_tasks(),
+            num_workers: instance.num_workers(),
+            epsilon: job.epsilon,
+            report,
+            error,
+            wall_ms: None,
+        }
+    }
+
+    fn wall_ms(cell: &mut SweepCell) -> &mut Option<f64> {
+        &mut cell.wall_ms
+    }
+
+    fn partial(&self, head: PartialHead, cells: Vec<SweepCell>) -> PartialSweepReport {
+        PartialSweepReport {
+            flavor: head.flavor,
+            fingerprint: head.fingerprint,
+            partition_index: head.partition_index,
+            partition_count: head.partition_count,
+            total_jobs: head.total_jobs,
+            start: head.start,
+            seed: head.seed,
+            repetitions: self.repetitions,
+            cells,
+        }
+    }
+
+    fn head(partial: &PartialSweepReport) -> PartialHead {
+        PartialHead {
+            flavor: partial.flavor.clone(),
+            fingerprint: partial.fingerprint.clone(),
+            partition_index: partial.partition_index,
+            partition_count: partial.partition_count,
+            total_jobs: partial.total_jobs,
+            start: partial.start,
+            seed: partial.seed,
+        }
+    }
+
+    fn cells(partial: &PartialSweepReport) -> &[SweepCell] {
+        &partial.cells
+    }
+
+    fn cells_mut(partial: &mut PartialSweepReport) -> &mut Vec<SweepCell> {
+        &mut partial.cells
+    }
+
+    fn same_meta(a: &PartialSweepReport, b: &PartialSweepReport) -> bool {
+        a.repetitions == b.repetitions
+    }
+
+    fn report(partial: &PartialSweepReport, cells: Vec<SweepCell>) -> SweepReport {
+        SweepReport {
+            seed: partial.seed,
+            repetitions: partial.repetitions,
+            cells,
+        }
     }
 }
 
-/// Validates the static grid shape and resolves names into the full job
-/// list: the `pairing × size × ε` product in mechanism-major order, each
-/// job carrying a seed derived from its index alone.
-fn build_jobs(config: &SweepConfig) -> Result<Vec<Job>, PipelineError> {
-    if config.shards == 0 {
+/// A configuration's job list and its fingerprint.
+type JobList<J> = (Vec<SweepJob<J>>, String);
+
+/// Validates the grid and expands it into the job list — scenario ×
+/// mechanism × the flavour's axes × size × ε — each job seeded by its
+/// index alone. Also returns the config fingerprint.
+fn jobs<K: SweepKind>(config: &K) -> Result<JobList<K::Job>, PipelineError> {
+    let grid = config.grid();
+    if grid.shards == 0 {
         return Err(PipelineError::InvalidConfig {
             field: "shards",
             why: "the sweep needs at least one shard",
         });
     }
-    if config.repetitions == 0 {
-        return Err(PipelineError::InvalidConfig {
-            field: "repetitions",
-            why: "the sweep needs at least one repetition per cell",
-        });
-    }
-    if config.sizes.is_empty() {
+    config.check()?;
+    if grid.sizes.is_empty() {
         return Err(PipelineError::InvalidConfig {
             field: "sizes",
             why: "the sweep needs at least one instance size",
         });
     }
-    if config.epsilons.is_empty() {
+    if grid.epsilons.is_empty() {
         return Err(PipelineError::InvalidConfig {
             field: "epsilons",
             why: "the sweep needs at least one privacy budget",
         });
     }
-    let mechanisms = resolve_mechanisms(&config.mechanisms)?;
-    let matchers = resolve_matchers(&config.matchers)?;
-    let scenarios = resolve_scenarios(&config.scenarios)?;
+    let resolved = resolve(config)?;
 
     let mut jobs = Vec::new();
     // Scenario is the outermost axis: a single-scenario sweep enumerates
     // jobs in exactly the pre-scenario order, so every job index (and
     // therefore every job seed) is unchanged.
-    for scenario in &scenarios {
-        for mechanism in &mechanisms {
-            for matcher in &matchers {
-                for &size in &config.sizes {
-                    for &epsilon in &config.epsilons {
+    for scenario in &resolved.scenarios {
+        for mechanism in &resolved.mechanisms {
+            for axes in &resolved.axes {
+                for &size in grid.sizes {
+                    for &epsilon in grid.epsilons {
                         // Per-job seed from the job index: independent of the
                         // shard that executes it, so shard count never changes
                         // any cell.
-                        let job_seed = config.base.seed.wrapping_add(
+                        let job_seed = grid.seed.wrapping_add(
                             (jobs.len() as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                         );
-                        jobs.push(Job {
+                        jobs.push(SweepJob {
                             scenario: scenario.clone(),
-                            spec: AlgorithmSpec::compose(mechanism.clone(), matcher.clone()),
+                            mechanism: mechanism.clone(),
+                            axes: axes.clone(),
                             size,
                             epsilon,
                             job_seed,
@@ -374,43 +579,41 @@ fn build_jobs(config: &SweepConfig) -> Result<Vec<Job>, PipelineError> {
             }
         }
     }
-    Ok(jobs)
+    Ok((jobs, resolved.fingerprint))
 }
 
-/// Number of jobs (cells) the static sweep grid expands to — the space a
+/// Number of jobs (cells) the grid expands to — the space a
 /// [`PartitionPlan`] slices. Fails on the same configuration errors as
-/// [`run_sweep`].
-pub fn sweep_job_count(config: &SweepConfig) -> Result<usize, PipelineError> {
-    Ok(build_jobs(config)?.len())
+/// [`run`].
+fn job_count<K: SweepKind>(config: &K) -> Result<usize, PipelineError> {
+    Ok(jobs(config)?.0.len())
 }
 
-/// Runs the sweep, fanning the `pairing × size × ε` product over
-/// `config.shards` scoped threads.
+/// Number of jobs (cells) the static grid expands to — the space a
+/// [`PartitionPlan`] slices. Fails on the same configuration errors as
+/// [`run`].
+pub fn sweep_job_count(config: &SweepConfig) -> Result<usize, PipelineError> {
+    job_count(config)
+}
+
+/// Runs the whole sweep, fanning the job list over the configured shards.
 ///
 /// Fails fast on configuration errors (unknown names, empty grids, zero
 /// shards/repetitions); per-cell measurement failures are recorded in the
 /// cells, not returned.
+pub fn run<K: SweepKind>(config: &K) -> Result<K::Report, PipelineError> {
+    let (partial, _) = run_partition(config, &PartitionRun::default())?;
+    Ok(into_report::<K>(partial))
+}
+
+/// Runs the static sweep; [`run`].
 pub fn run_sweep(config: &SweepConfig) -> Result<SweepReport, PipelineError> {
-    let jobs = build_jobs(config)?;
-    let range = 0..jobs.len();
-    let cells = execute(&jobs, range, config.shards, None, |job| {
-        run_job(job, &config.base, config.repetitions, config.timings)
-    })?;
-    Ok(SweepReport {
-        seed: config.base.seed,
-        repetitions: config.repetitions,
-        cells,
-    })
+    run(config)
 }
 
 // ---------------------------------------------------------------------------
 // Partitioned execution
 // ---------------------------------------------------------------------------
-
-/// Flavour tag static partial reports carry in their `flavor` field.
-pub const STATIC_FLAVOR: &str = "static";
-/// Flavour tag dynamic partial reports carry in their `flavor` field.
-pub const DYNAMIC_FLAVOR: &str = "dynamic";
 
 /// A named contiguous `i/N` slice of a sweep's job-index space
 /// (1-based: `1/3`, `2/3`, `3/3`).
@@ -539,105 +742,76 @@ fn epsilon_bits(epsilons: &[f64]) -> String {
         .join(",")
 }
 
-/// Deterministic fingerprint of everything that shapes a static sweep's
-/// job list and cell content: resolved mechanism/matcher names, the
-/// size/ε grids, repetitions, and the output-relevant [`PipelineConfig`]
-/// fields. Two configs with equal fingerprints produce byte-identical
-/// cells for the same job indices; [`crate::merge`] refuses to combine
-/// partials whose fingerprints differ.
-pub fn sweep_fingerprint(config: &SweepConfig) -> Result<String, PipelineError> {
-    let mechanisms = resolve_mechanisms(&config.mechanisms)?;
-    let matchers = resolve_matchers(&config.matchers)?;
-    let scenarios = resolve_scenarios(&config.scenarios)?;
-    let mut parts = vec![
-        STATIC_FLAVOR.to_string(),
-        // Resolved names, so `[]` and an explicit `["uniform"]` (the same
-        // job list) fingerprint identically.
-        scenarios
-            .iter()
-            .map(|s| s.name())
-            .collect::<Vec<_>>()
-            .join(","),
-        mechanisms
-            .iter()
-            .map(|m| m.name())
-            .collect::<Vec<_>>()
-            .join(","),
-        matchers
-            .iter()
-            .map(|m| m.name())
-            .collect::<Vec<_>>()
-            .join(","),
-        config
-            .sizes
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-        epsilon_bits(&config.epsilons),
-        format!("reps={}", config.repetitions),
-    ];
-    parts.extend(pipeline_fingerprint_parts(&config.base));
-    Ok(fingerprint_of(&parts))
+/// Comma-joined resolved names: one fingerprint part.
+fn names<T>(items: &[T], name: impl Fn(&T) -> &str) -> String {
+    items.iter().map(name).collect::<Vec<_>>().join(",")
 }
 
-/// Deterministic fingerprint of a dynamic sweep's job list and cell
-/// content; the dynamic counterpart of [`sweep_fingerprint`].
-pub fn dynamic_sweep_fingerprint(config: &DynamicSweepConfig) -> Result<String, PipelineError> {
-    let mechanisms = resolve_mechanisms(&config.mechanisms)?;
-    let matchers = resolve_dynamic_matchers(&config.matchers, config.ratio)?;
-    let plans = resolve_plan_kinds(config)?;
-    let scenarios = resolve_scenarios(&config.scenarios)?;
+/// A configuration's axes before the grid point, resolved, and its
+/// fingerprint.
+struct Resolved<J> {
+    scenarios: Vec<Arc<dyn Scenario>>,
+    mechanisms: Vec<Arc<dyn ReportMechanism>>,
+    axes: Vec<J>,
+    fingerprint: String,
+}
+
+/// Resolves the mechanisms, the flavour's axes and the scenarios (in that
+/// order, so the first unknown name reported is the same in every
+/// flavour), and fingerprints the result.
+fn resolve<K: SweepKind>(config: &K) -> Result<Resolved<K::Job>, PipelineError> {
+    let grid = config.grid();
+    let mechanisms = resolve_mechanisms(grid.mechanisms)?;
+    let (axes, axis_names) = config.axes()?;
+    let scenarios = resolve_scenarios(grid.scenarios)?;
     let mut parts = vec![
-        DYNAMIC_FLAVOR.to_string(),
-        // Resolved names, like the static flavour above.
-        scenarios
-            .iter()
-            .map(|s| s.name())
-            .collect::<Vec<_>>()
-            .join(","),
-        mechanisms
-            .iter()
-            .map(|m| m.name())
-            .collect::<Vec<_>>()
-            .join(","),
-        matchers
-            .iter()
-            .map(|m| m.name())
-            .collect::<Vec<_>>()
-            .join(","),
-        plans.join(","),
-        config
-            .sizes
+        K::FLAVOR.to_string(),
+        // Resolved names, so `[]` and an explicit `["uniform"]` (the same
+        // job list) fingerprint identically.
+        names(&scenarios, |s| s.name()),
+        names(&mechanisms, |m| m.name()),
+    ];
+    parts.extend(axis_names);
+    parts.push(
+        grid.sizes
             .iter()
             .map(|s| s.to_string())
             .collect::<Vec<_>>()
             .join(","),
-        epsilon_bits(&config.epsilons),
-        format!("grid={}", config.grid_side),
-        format!("seed={}", config.seed),
-        format!("horizon={:016x}", DYNAMIC_SWEEP_HORIZON.to_bits()),
-    ];
-    if config.ratio {
-        // The resolved oracle name: ratio cells carry extra columns, so a
-        // ratio sweep must never share checkpoints or merge inputs with a
-        // plain sweep of the same grid.
-        parts.push(format!("oracle={DEFAULT_DYNAMIC_ORACLE}"));
-    }
-    Ok(fingerprint_of(&parts))
+    );
+    parts.push(epsilon_bits(grid.epsilons));
+    parts.extend(config.fingerprint_tail());
+    Ok(Resolved {
+        scenarios,
+        mechanisms,
+        axes,
+        fingerprint: fingerprint_of(&parts),
+    })
+}
+
+/// Deterministic fingerprint of everything that shapes a sweep's job list
+/// and cell content: the flavour, resolved scenario/mechanism/matcher
+/// names and the flavour's other axes, the size/ε grids, and the
+/// output-relevant settings of [`SweepKind::fingerprint_tail`]. Two
+/// configs with equal fingerprints produce byte-identical cells for the
+/// same job indices; [`crate::merge`] refuses to combine partials whose
+/// fingerprints differ, and checkpoint logs are keyed by it.
+pub fn fingerprint<K: SweepKind>(config: &K) -> Result<String, PipelineError> {
+    Ok(resolve(config)?.fingerprint)
 }
 
 /// One partition's worth of a static sweep: self-describing enough for
-/// [`crate::merge::merge_static`] to validate and reassemble a full
-/// [`SweepReport`] from a set of these.
+/// [`crate::merge::merge`] to validate and reassemble a full
+/// [`SweepReport`] from a set of these. The fields before `repetitions`
+/// are the [`PartialHead`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PartialSweepReport {
-    /// Always [`STATIC_FLAVOR`]; lets `pombm merge` sniff mixed inputs.
+    /// Always `static`; lets `pombm merge` sniff mixed inputs.
     pub flavor: String,
-    /// [`sweep_fingerprint`] of the producing configuration.
+    /// [`fingerprint`] of the producing configuration.
     pub fingerprint: String,
-    /// 1-based partition number, or `0` for a custom
-    /// [`run_sweep_range`] slice.
+    /// 1-based partition number, or `0` for a custom [`run_range`]
+    /// slice.
     pub partition_index: usize,
     /// Total partitions, or `0` for a custom slice.
     pub partition_count: usize,
@@ -654,20 +828,14 @@ pub struct PartialSweepReport {
     pub cells: Vec<SweepCell>,
 }
 
-impl PartialSweepReport {
-    /// The global job-index range this partial covers.
-    pub fn covers(&self) -> Range<usize> {
-        self.start..self.start + self.cells.len()
-    }
-}
-
-/// One partition's worth of a dynamic sweep; the
-/// [`crate::merge::merge_dynamic`] input mirroring [`PartialSweepReport`].
+/// One partition's worth of a dynamic sweep; the [`crate::merge::merge`]
+/// input mirroring [`PartialSweepReport`], with `horizon` as its metadata
+/// field.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DynamicPartialSweepReport {
-    /// Always [`DYNAMIC_FLAVOR`].
+    /// Always `dynamic`.
     pub flavor: String,
-    /// [`dynamic_sweep_fingerprint`] of the producing configuration.
+    /// [`fingerprint`] of the producing configuration.
     pub fingerprint: String,
     /// 1-based partition number, or `0` for a custom slice.
     pub partition_index: usize,
@@ -683,13 +851,6 @@ pub struct DynamicPartialSweepReport {
     pub horizon: f64,
     /// The covered cells, in job-index order.
     pub cells: Vec<DynamicSweepCell>,
-}
-
-impl DynamicPartialSweepReport {
-    /// The global job-index range this partial covers.
-    pub fn covers(&self) -> Range<usize> {
-        self.start..self.start + self.cells.len()
-    }
 }
 
 /// How to execute one partition: which slice, and optionally where to
@@ -833,23 +994,31 @@ impl<T> Checkpointing<T> {
     }
 }
 
-/// Fans `jobs[range]` over `shards` scoped threads: shard `s` takes the
+/// Fans `jobs[range]` over the configured shards: shard `s` takes the
 /// `s`-th contiguous chunk of the slice and computes (or resumes from the
 /// checkpoint) one cell per job, appending fresh cells to the checkpoint
-/// as they finish. Output order equals job order for every shard count —
-/// the shared execution core of both sweep flavours and their partitioned
-/// variants. Checkpoint entries are keyed by *global* job index, so a log
-/// written under one partition spec resumes under any other.
-fn execute<J: Sync, T: Send + Serialize + Deserialize>(
-    jobs: &[J],
+/// as they finish. Output order equals job order for every shard count.
+/// Checkpoint entries are keyed by *global* job index, so a log written
+/// under one partition spec resumes under any other.
+fn execute<K: SweepKind>(
+    config: &K,
+    jobs: &[SweepJob<K::Job>],
     range: Range<usize>,
-    shards: usize,
-    ckpt: Option<&Checkpointing<T>>,
-    run: impl Fn(&J) -> T + Sync,
-) -> Result<Vec<T>, PipelineError> {
+    ckpt: Option<&Checkpointing<K::Cell>>,
+) -> Result<Vec<K::Cell>, PipelineError> {
+    let grid = config.grid();
+    let timings = grid.timings;
+    let run = |job: &SweepJob<K::Job>| {
+        // lint: allow(DET-TIME) — the timings-gated wall_ms path itself; the
+        // merge strips wall_ms before fingerprinting.
+        let started = timings.then(std::time::Instant::now);
+        let mut cell = config.run_job(job);
+        *K::wall_ms(&mut cell) = started.map(|s| s.elapsed().as_secs_f64() * 1e3);
+        cell
+    };
     let slice = &jobs[range.clone()];
-    let chunk = slice.len().div_ceil(shards).max(1);
-    let out: Mutex<Vec<Option<T>>> = Mutex::new((0..slice.len()).map(|_| None).collect());
+    let chunk = slice.len().div_ceil(grid.shards).max(1);
+    let out: Mutex<Vec<Option<K::Cell>>> = Mutex::new((0..slice.len()).map(|_| None).collect());
     let fail: Mutex<Option<PipelineError>> = Mutex::new(None);
     let capped = AtomicBool::new(false);
     crossbeam::thread::scope(|scope| {
@@ -945,40 +1114,38 @@ fn check_slice(
     Ok(())
 }
 
-/// `slice_of` maps the job-space size to the covered range, so callers
-/// with an `i/N` plan never build the job list twice just to learn its
-/// length.
-fn run_static_slice(
-    config: &SweepConfig,
+/// Computes the job-index range `slice_of(total)` into a partial recording
+/// `partition` (index, count) — the body of every entry point. `slice_of`
+/// maps the job-space size to the covered range, so callers with an `i/N`
+/// plan never build the job list twice just to learn its length.
+fn run_slice<K: SweepKind>(
+    config: &K,
     slice_of: impl FnOnce(usize) -> Range<usize>,
-    partition_index: usize,
-    partition_count: usize,
+    partition: (usize, usize),
     checkpoint: Option<&Path>,
     max_cells: Option<usize>,
-) -> Result<(PartialSweepReport, PartialRunStats), PipelineError> {
-    let jobs = build_jobs(config)?;
+) -> Result<(K::Partial, PartialRunStats), PipelineError> {
+    let (jobs, fingerprint) = jobs(config)?;
     let range = slice_of(jobs.len());
     check_slice(&range, jobs.len(), checkpoint, max_cells)?;
-    let fingerprint = sweep_fingerprint(config)?;
     let ckpt = checkpoint
-        .map(|dir| -> Result<Checkpointing<SweepCell>, PipelineError> {
+        .map(|dir| -> Result<Checkpointing<K::Cell>, PipelineError> {
             Ok(Checkpointing {
-                store: CheckpointStore::open(dir, STATIC_FLAVOR, &fingerprint, jobs.len())?,
+                store: CheckpointStore::open(dir, K::FLAVOR, &fingerprint, jobs.len())?,
                 max_cells,
                 resumed: AtomicUsize::new(0),
                 computed: AtomicUsize::new(0),
             })
         })
         .transpose()?;
-    let mut cells = execute(&jobs, range.clone(), config.shards, ckpt.as_ref(), |job| {
-        run_job(job, &config.base, config.repetitions, config.timings)
-    })?;
-    if !config.timings {
+    let mut cells = execute(config, &jobs, range.clone(), ckpt.as_ref())?;
+    let grid = config.grid();
+    if !grid.timings {
         // Resumed cells may carry `wall_ms` from a `--timings` run of the
         // same fingerprint; normalize so resumed output stays
         // byte-identical to a fresh timings-off run.
         for cell in &mut cells {
-            cell.wall_ms = None;
+            *K::wall_ms(cell) = None;
         }
     }
     let stats = ckpt.map_or(
@@ -988,48 +1155,58 @@ fn run_static_slice(
         },
         |c| c.stats(),
     );
-    Ok((
-        PartialSweepReport {
-            flavor: STATIC_FLAVOR.to_string(),
-            fingerprint,
-            partition_index,
-            partition_count,
-            total_jobs: jobs.len(),
-            start: range.start,
-            seed: config.base.seed,
-            repetitions: config.repetitions,
-            cells,
-        },
-        stats,
-    ))
+    let head = PartialHead {
+        flavor: K::FLAVOR.to_string(),
+        fingerprint,
+        partition_index: partition.0,
+        partition_count: partition.1,
+        total_jobs: jobs.len(),
+        start: range.start,
+        seed: grid.seed,
+    };
+    Ok((config.partial(head, cells), stats))
 }
 
-/// Runs one partition of the static sweep (optionally checkpointed),
-/// returning the self-describing partial report plus resume statistics.
-/// Deterministic like [`run_sweep`]: the same `(config, plan)` produces
-/// byte-identical partials at any shard count, fresh or resumed.
-pub fn run_sweep_partition(
-    config: &SweepConfig,
+/// Runs one partition of a sweep (optionally checkpointed), returning the
+/// self-describing partial report plus resume statistics. Deterministic
+/// like [`run`]: the same `(config, plan)` produces byte-identical
+/// partials at any shard count, fresh or resumed.
+pub fn run_partition<K: SweepKind>(
+    config: &K,
     run: &PartitionRun,
-) -> Result<(PartialSweepReport, PartialRunStats), PipelineError> {
-    run_static_slice(
+) -> Result<(K::Partial, PartialRunStats), PipelineError> {
+    run_slice(
         config,
         |total| run.plan.slice(total),
-        run.plan.index(),
-        run.plan.count(),
+        (run.plan.index(), run.plan.count()),
         run.checkpoint.as_deref(),
         run.max_cells,
     )
 }
 
-/// Runs an arbitrary contiguous job-index slice of the static sweep —
-/// the building block for custom (ragged) schedulers; `partition_index` /
-/// `partition_count` are recorded as `0` ("custom slice").
-pub fn run_sweep_range(
+/// Runs one partition of the static sweep; [`run_partition`].
+pub fn run_sweep_partition(
     config: &SweepConfig,
+    run: &PartitionRun,
+) -> Result<(PartialSweepReport, PartialRunStats), PipelineError> {
+    run_partition(config, run)
+}
+
+/// Runs an arbitrary contiguous job-index slice of a sweep — the building
+/// block for custom (ragged) schedulers; `partition_index` /
+/// `partition_count` are recorded as `0` ("custom slice").
+pub fn run_range<K: SweepKind>(
+    config: &K,
     range: Range<usize>,
-) -> Result<PartialSweepReport, PipelineError> {
-    run_static_slice(config, move |_| range, 0, 0, None, None).map(|(partial, _)| partial)
+) -> Result<K::Partial, PipelineError> {
+    run_slice(config, move |_| range, (0, 0), None, None).map(|(partial, _)| partial)
+}
+
+/// The report of the cells a partial covers: for a full-plan partial,
+/// exactly what [`run`] returns.
+pub fn into_report<K: SweepKind>(mut partial: K::Partial) -> K::Report {
+    let cells = std::mem::take(K::cells_mut(&mut partial));
+    K::report(&partial, cells)
 }
 
 // ---------------------------------------------------------------------------
@@ -1260,18 +1437,6 @@ impl DynamicSweepReport {
     }
 }
 
-struct DynamicJob {
-    scenario: Arc<dyn Scenario>,
-    mechanism: Arc<dyn ReportMechanism>,
-    matcher: Arc<dyn DynamicAssignStrategy>,
-    plan_kind: String,
-    size: usize,
-    epsilon: f64,
-    /// Seed for this job's noise streams; derived from the job's position
-    /// in the job list, never from the executing shard.
-    job_seed: u64,
-}
-
 /// Resolves the dynamic-matcher filter. Ratio sweeps admit the
 /// [`Role::OracleOnly`](crate::registry::Role) `dynamic-opt` entry — and
 /// include it by default, so the denominator shows up as its own
@@ -1388,111 +1553,209 @@ fn oracle_measurement(
     }
 }
 
-fn run_dynamic_job(
-    job: &DynamicJob,
-    grid_side: usize,
-    seed: u64,
-    timings: bool,
-    ratio: bool,
-) -> DynamicSweepCell {
-    // lint: allow(DET-TIME) — the timings-gated wall_ms path itself; the
-    // merge strips wall_ms before fingerprinting.
-    let started = timings.then(std::time::Instant::now);
-    let instance = job.scenario.instance(seed, job.size);
-    let times = job.scenario.task_times(seed, job.size);
-    let plan = job
-        .scenario
-        .shift_plan(&job.plan_kind, job.size, seed)
-        .expect("plan kinds were validated before the fan-out");
-    let config = DynamicConfig {
-        epsilon: job.epsilon,
-        grid_side,
-        seed: job.job_seed,
-    };
-    // The oracle denominator is shared by every repetition of this cell's
-    // timeline; solved at threads=1 so cells stay shard-invariant (the
-    // clairvoyant engine is bit-identical at every thread count anyway).
-    let oracle = ratio.then(|| dynamic_offline_optimum(&instance, &times, &plan));
-    let is_oracle_cell = registry()
-        .dynamic_matcher_catalog()
-        .role_of(job.matcher.name())
-        == Some(Role::OracleOnly);
+impl SweepKind for DynamicSweepConfig {
+    type Job = (Arc<dyn DynamicAssignStrategy>, String);
+    type Cell = DynamicSweepCell;
+    type Partial = DynamicPartialSweepReport;
+    type Report = DynamicSweepReport;
 
-    type OnlineRun = (f64, std::collections::BTreeSet<usize>);
-    let outcome: Result<(DynamicMeasurement, Option<OnlineRun>), String> = if is_oracle_cell {
-        match &oracle {
-            Some(Ok(opt)) => Ok((oracle_measurement(opt, &times, &plan), None)),
-            Some(Err(e)) => Err(e.to_string()),
-            // resolve_dynamic_matchers only admits the oracle under
-            // --ratio, so a ratio-less oracle cell cannot be built by the
-            // sweep; report the role error defensively anyway.
-            None => Err(PipelineError::RoleMismatch {
-                kind: "dynamic matcher",
-                name: job.matcher.name().to_string(),
-                role: "oracle-only",
-                wanted: "pairing",
-            }
-            .to_string()),
+    const FLAVOR: &'static str = "dynamic";
+    const META: &'static str = "horizon";
+
+    fn grid(&self) -> Grid<'_> {
+        Grid {
+            scenarios: &self.scenarios,
+            mechanisms: &self.mechanisms,
+            sizes: &self.sizes,
+            epsilons: &self.epsilons,
+            shards: self.shards,
+            timings: self.timings,
+            seed: self.seed,
         }
-    } else {
-        match run_dynamic_spec(
-            &instance,
-            &times,
-            &plan,
-            &config,
-            job.mechanism.as_ref(),
-            job.matcher.as_ref(),
-        ) {
-            Ok(out) => {
-                let assigned: std::collections::BTreeSet<usize> =
-                    out.pairs.iter().map(|&(t, _)| t).collect();
-                Ok((
-                    DynamicMeasurement::from_outcome(&out),
-                    Some((out.total_distance, assigned)),
-                ))
-            }
-            Err(e) => Err(e.to_string()),
+    }
+
+    /// Dynamic matcher × shift-plan kind, matcher-major.
+    fn axes(&self) -> Result<(Vec<Self::Job>, Vec<String>), PipelineError> {
+        let matchers = resolve_dynamic_matchers(&self.matchers, self.ratio)?;
+        let plans = resolve_plan_kinds(self)?;
+        let names = vec![names(&matchers, |m| m.name()), plans.join(",")];
+        let axes = matchers
+            .iter()
+            .flat_map(|m| plans.iter().map(move |p| (m.clone(), p.clone())))
+            .collect();
+        Ok((axes, names))
+    }
+
+    fn fingerprint_tail(&self) -> Vec<String> {
+        let mut parts = vec![
+            format!("grid={}", self.grid_side),
+            format!("seed={}", self.seed),
+            format!("horizon={:016x}", DYNAMIC_SWEEP_HORIZON.to_bits()),
+        ];
+        if self.ratio {
+            // The resolved oracle name: ratio cells carry extra columns, so a
+            // ratio sweep must never share checkpoints or merge inputs with a
+            // plain sweep of the same grid.
+            parts.push(format!("oracle={DEFAULT_DYNAMIC_ORACLE}"));
         }
-    };
+        parts
+    }
 
-    let (measurement, competitive_ratio, drop_p50, drop_p95, error) = match outcome {
-        Err(e) => (None, None, None, None, Some(e)),
-        Ok((m, online)) => match (&oracle, online) {
-            // Ratio off: the pre-ratio cell, bit for bit.
-            (None, _) => (Some(m), None, None, None, None),
-            (Some(Err(e)), _) => (None, None, None, None, Some(e.to_string())),
-            (Some(Ok(opt)), online) => {
-                let (numerator, dropped): (f64, Vec<usize>) = match online {
-                    Some((total, assigned)) => (
-                        total,
-                        (0..instance.num_tasks())
-                            .filter(|t| !assigned.contains(t))
-                            .collect(),
-                    ),
-                    // The oracle's own cell: numerator = denominator, so
-                    // the ratio divides to exactly 1.0.
-                    None => (opt.total_cost, opt.dropped.clone()),
-                };
-                let (p50, p95) = drop_latency_percentiles(dropped.into_iter(), &times, &plan);
-                (Some(m), Some(numerator / opt.total_cost), p50, p95, None)
+    fn run_job(&self, job: &SweepJob<Self::Job>) -> DynamicSweepCell {
+        let (matcher, plan_kind) = &job.axes;
+        let instance = job.scenario.instance(self.seed, job.size);
+        let times = job.scenario.task_times(self.seed, job.size);
+        let plan = job
+            .scenario
+            .shift_plan(plan_kind, job.size, self.seed)
+            .expect("plan kinds were validated before the fan-out");
+        let config = DynamicConfig {
+            epsilon: job.epsilon,
+            grid_side: self.grid_side,
+            seed: job.job_seed,
+        };
+        // The oracle denominator is shared by every repetition of this cell's
+        // timeline; solved at threads=1 so cells stay shard-invariant (the
+        // clairvoyant engine is bit-identical at every thread count anyway).
+        let oracle = self
+            .ratio
+            .then(|| dynamic_offline_optimum(&instance, &times, &plan));
+        let is_oracle_cell =
+            registry().dynamic_matcher_catalog().role_of(matcher.name()) == Some(Role::OracleOnly);
+
+        type OnlineRun = (f64, std::collections::BTreeSet<usize>);
+        let outcome: Result<(DynamicMeasurement, Option<OnlineRun>), String> = if is_oracle_cell {
+            match &oracle {
+                Some(Ok(opt)) => Ok((oracle_measurement(opt, &times, &plan), None)),
+                Some(Err(e)) => Err(e.to_string()),
+                // resolve_dynamic_matchers only admits the oracle under
+                // --ratio, so a ratio-less oracle cell cannot be built by the
+                // sweep; report the role error defensively anyway.
+                None => Err(PipelineError::RoleMismatch {
+                    kind: "dynamic matcher",
+                    name: matcher.name().to_string(),
+                    role: "oracle-only",
+                    wanted: "pairing",
+                }
+                .to_string()),
             }
-        },
-    };
+        } else {
+            match run_dynamic_spec(
+                &instance,
+                &times,
+                &plan,
+                &config,
+                job.mechanism.as_ref(),
+                matcher.as_ref(),
+            ) {
+                Ok(out) => {
+                    let assigned: std::collections::BTreeSet<usize> =
+                        out.pairs.iter().map(|&(t, _)| t).collect();
+                    Ok((
+                        DynamicMeasurement::from_outcome(&out),
+                        Some((out.total_distance, assigned)),
+                    ))
+                }
+                Err(e) => Err(e.to_string()),
+            }
+        };
 
-    DynamicSweepCell {
-        scenario: cell_scenario(job.scenario.as_ref()),
-        mechanism: job.mechanism.name().to_string(),
-        matcher: job.matcher.name().to_string(),
-        plan: job.plan_kind.clone(),
-        num_tasks: instance.num_tasks(),
-        num_workers: instance.num_workers(),
-        epsilon: job.epsilon,
-        measurement,
-        competitive_ratio,
-        drop_latency_p50: drop_p50,
-        drop_latency_p95: drop_p95,
-        error,
-        wall_ms: started.map(|s| s.elapsed().as_secs_f64() * 1e3),
+        let (measurement, competitive_ratio, drop_p50, drop_p95, error) = match outcome {
+            Err(e) => (None, None, None, None, Some(e)),
+            Ok((m, online)) => match (&oracle, online) {
+                // Ratio off: the pre-ratio cell, bit for bit.
+                (None, _) => (Some(m), None, None, None, None),
+                (Some(Err(e)), _) => (None, None, None, None, Some(e.to_string())),
+                (Some(Ok(opt)), online) => {
+                    let (numerator, dropped): (f64, Vec<usize>) = match online {
+                        Some((total, assigned)) => (
+                            total,
+                            (0..instance.num_tasks())
+                                .filter(|t| !assigned.contains(t))
+                                .collect(),
+                        ),
+                        // The oracle's own cell: numerator = denominator, so
+                        // the ratio divides to exactly 1.0.
+                        None => (opt.total_cost, opt.dropped.clone()),
+                    };
+                    let (p50, p95) = drop_latency_percentiles(dropped.into_iter(), &times, &plan);
+                    (Some(m), Some(numerator / opt.total_cost), p50, p95, None)
+                }
+            },
+        };
+
+        DynamicSweepCell {
+            scenario: cell_scenario(job.scenario.as_ref()),
+            mechanism: job.mechanism.name().to_string(),
+            matcher: matcher.name().to_string(),
+            plan: plan_kind.clone(),
+            num_tasks: instance.num_tasks(),
+            num_workers: instance.num_workers(),
+            epsilon: job.epsilon,
+            measurement,
+            competitive_ratio,
+            drop_latency_p50: drop_p50,
+            drop_latency_p95: drop_p95,
+            error,
+            wall_ms: None,
+        }
+    }
+
+    fn wall_ms(cell: &mut DynamicSweepCell) -> &mut Option<f64> {
+        &mut cell.wall_ms
+    }
+
+    fn partial(
+        &self,
+        head: PartialHead,
+        cells: Vec<DynamicSweepCell>,
+    ) -> DynamicPartialSweepReport {
+        DynamicPartialSweepReport {
+            flavor: head.flavor,
+            fingerprint: head.fingerprint,
+            partition_index: head.partition_index,
+            partition_count: head.partition_count,
+            total_jobs: head.total_jobs,
+            start: head.start,
+            seed: head.seed,
+            horizon: DYNAMIC_SWEEP_HORIZON,
+            cells,
+        }
+    }
+
+    fn head(partial: &DynamicPartialSweepReport) -> PartialHead {
+        PartialHead {
+            flavor: partial.flavor.clone(),
+            fingerprint: partial.fingerprint.clone(),
+            partition_index: partial.partition_index,
+            partition_count: partial.partition_count,
+            total_jobs: partial.total_jobs,
+            start: partial.start,
+            seed: partial.seed,
+        }
+    }
+
+    fn cells(partial: &DynamicPartialSweepReport) -> &[DynamicSweepCell] {
+        &partial.cells
+    }
+
+    fn cells_mut(partial: &mut DynamicPartialSweepReport) -> &mut Vec<DynamicSweepCell> {
+        &mut partial.cells
+    }
+
+    fn same_meta(a: &DynamicPartialSweepReport, b: &DynamicPartialSweepReport) -> bool {
+        a.horizon.to_bits() == b.horizon.to_bits()
+    }
+
+    fn report(
+        partial: &DynamicPartialSweepReport,
+        cells: Vec<DynamicSweepCell>,
+    ) -> DynamicSweepReport {
+        DynamicSweepReport {
+            seed: partial.seed,
+            horizon: partial.horizon,
+            cells,
+        }
     }
 }
 
@@ -1511,184 +1774,25 @@ fn resolve_plan_kinds(config: &DynamicSweepConfig) -> Result<Vec<String>, Pipeli
     Ok(plans)
 }
 
-/// Validates the dynamic grid shape and resolves names into the full job
-/// list (mechanism-major, then matcher, plan, size, ε), each job seeded
-/// by its index alone.
-fn build_dynamic_jobs(config: &DynamicSweepConfig) -> Result<Vec<DynamicJob>, PipelineError> {
-    if config.shards == 0 {
-        return Err(PipelineError::InvalidConfig {
-            field: "shards",
-            why: "the sweep needs at least one shard",
-        });
-    }
-    if config.sizes.is_empty() {
-        return Err(PipelineError::InvalidConfig {
-            field: "sizes",
-            why: "the sweep needs at least one instance size",
-        });
-    }
-    if config.epsilons.is_empty() {
-        return Err(PipelineError::InvalidConfig {
-            field: "epsilons",
-            why: "the sweep needs at least one privacy budget",
-        });
-    }
-    let mechanisms = resolve_mechanisms(&config.mechanisms)?;
-    let matchers = resolve_dynamic_matchers(&config.matchers, config.ratio)?;
-    let plans = resolve_plan_kinds(config)?;
-    let scenarios = resolve_scenarios(&config.scenarios)?;
-
-    let mut jobs = Vec::new();
-    // Scenario outermost, exactly as in `build_jobs`: a single-scenario
-    // sweep keeps the pre-scenario job order and seeds.
-    for scenario in &scenarios {
-        for mechanism in &mechanisms {
-            for matcher in &matchers {
-                for plan_kind in &plans {
-                    for &size in &config.sizes {
-                        for &epsilon in &config.epsilons {
-                            let job_seed = config.seed.wrapping_add(
-                                (jobs.len() as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                            );
-                            jobs.push(DynamicJob {
-                                scenario: scenario.clone(),
-                                mechanism: mechanism.clone(),
-                                matcher: matcher.clone(),
-                                plan_kind: plan_kind.clone(),
-                                size,
-                                epsilon,
-                                job_seed,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(jobs)
-}
-
-/// Number of jobs (cells) the dynamic sweep grid expands to.
+/// Number of jobs (cells) the dynamic grid expands to; see
+/// [`sweep_job_count`].
 pub fn dynamic_sweep_job_count(config: &DynamicSweepConfig) -> Result<usize, PipelineError> {
-    Ok(build_dynamic_jobs(config)?.len())
+    job_count(config)
 }
 
-/// Runs the dynamic sweep, fanning the
-/// `pairing × plan × size × ε` product over `config.shards` scoped
-/// threads. Deterministic in `config.seed` for every shard count, exactly
-/// like [`run_sweep`].
-///
-/// Fails fast on configuration errors (unknown mechanism / dynamic matcher
-/// / plan names, empty grids, zero shards); per-cell failures (e.g. the
-/// blind mechanism into a location-aware pool) are recorded in the cells.
+/// Runs the dynamic sweep; [`run`]. Deterministic in `config.seed` for
+/// every shard count. Per-cell failures (e.g. the blind mechanism into a
+/// location-aware pool) are recorded in the cells.
 pub fn run_dynamic_sweep(config: &DynamicSweepConfig) -> Result<DynamicSweepReport, PipelineError> {
-    let jobs = build_dynamic_jobs(config)?;
-    let range = 0..jobs.len();
-    let cells = execute(&jobs, range, config.shards, None, |job| {
-        run_dynamic_job(
-            job,
-            config.grid_side,
-            config.seed,
-            config.timings,
-            config.ratio,
-        )
-    })?;
-    Ok(DynamicSweepReport {
-        seed: config.seed,
-        horizon: DYNAMIC_SWEEP_HORIZON,
-        cells,
-    })
+    run(config)
 }
 
-/// `slice_of` maps the job-space size to the covered range, mirroring
-/// [`run_static_slice`].
-fn run_dynamic_slice(
-    config: &DynamicSweepConfig,
-    slice_of: impl FnOnce(usize) -> Range<usize>,
-    partition_index: usize,
-    partition_count: usize,
-    checkpoint: Option<&Path>,
-    max_cells: Option<usize>,
-) -> Result<(DynamicPartialSweepReport, PartialRunStats), PipelineError> {
-    let jobs = build_dynamic_jobs(config)?;
-    let range = slice_of(jobs.len());
-    check_slice(&range, jobs.len(), checkpoint, max_cells)?;
-    let fingerprint = dynamic_sweep_fingerprint(config)?;
-    let ckpt = checkpoint
-        .map(
-            |dir| -> Result<Checkpointing<DynamicSweepCell>, PipelineError> {
-                Ok(Checkpointing {
-                    store: CheckpointStore::open(dir, DYNAMIC_FLAVOR, &fingerprint, jobs.len())?,
-                    max_cells,
-                    resumed: AtomicUsize::new(0),
-                    computed: AtomicUsize::new(0),
-                })
-            },
-        )
-        .transpose()?;
-    let mut cells = execute(&jobs, range.clone(), config.shards, ckpt.as_ref(), |job| {
-        run_dynamic_job(
-            job,
-            config.grid_side,
-            config.seed,
-            config.timings,
-            config.ratio,
-        )
-    })?;
-    if !config.timings {
-        // Resumed cells may carry `wall_ms` from a `--timings` run of the
-        // same fingerprint; normalize so resumed output stays
-        // byte-identical to a fresh timings-off run.
-        for cell in &mut cells {
-            cell.wall_ms = None;
-        }
-    }
-    let stats = ckpt.map_or(
-        PartialRunStats {
-            resumed: 0,
-            computed: cells.len(),
-        },
-        |c| c.stats(),
-    );
-    Ok((
-        DynamicPartialSweepReport {
-            flavor: DYNAMIC_FLAVOR.to_string(),
-            fingerprint,
-            partition_index,
-            partition_count,
-            total_jobs: jobs.len(),
-            start: range.start,
-            seed: config.seed,
-            horizon: DYNAMIC_SWEEP_HORIZON,
-            cells,
-        },
-        stats,
-    ))
-}
-
-/// Runs one partition of the dynamic sweep (optionally checkpointed); the
-/// dynamic counterpart of [`run_sweep_partition`].
+/// Runs one partition of the dynamic sweep; [`run_partition`].
 pub fn run_dynamic_sweep_partition(
     config: &DynamicSweepConfig,
     run: &PartitionRun,
 ) -> Result<(DynamicPartialSweepReport, PartialRunStats), PipelineError> {
-    run_dynamic_slice(
-        config,
-        |total| run.plan.slice(total),
-        run.plan.index(),
-        run.plan.count(),
-        run.checkpoint.as_deref(),
-        run.max_cells,
-    )
-}
-
-/// Runs an arbitrary contiguous job-index slice of the dynamic sweep; the
-/// dynamic counterpart of [`run_sweep_range`].
-pub fn run_dynamic_sweep_range(
-    config: &DynamicSweepConfig,
-    range: Range<usize>,
-) -> Result<DynamicPartialSweepReport, PipelineError> {
-    run_dynamic_slice(config, move |_| range, 0, 0, None, None).map(|(partial, _)| partial)
+    run_partition(config, run)
 }
 
 #[cfg(test)]
@@ -2033,8 +2137,8 @@ mod tests {
             ..small_dynamic_config()
         };
         assert_ne!(
-            dynamic_sweep_fingerprint(&plain).unwrap(),
-            dynamic_sweep_fingerprint(&with_ratio).unwrap(),
+            fingerprint(&plain).unwrap(),
+            fingerprint(&with_ratio).unwrap(),
             "ratio sweeps must not share checkpoints with plain sweeps"
         );
         // Parallelism stays outside the fingerprint either way.
@@ -2044,8 +2148,8 @@ mod tests {
             ..small_dynamic_config()
         };
         assert_eq!(
-            dynamic_sweep_fingerprint(&with_ratio).unwrap(),
-            dynamic_sweep_fingerprint(&sharded).unwrap()
+            fingerprint(&with_ratio).unwrap(),
+            fingerprint(&sharded).unwrap()
         );
     }
 }

@@ -51,7 +51,6 @@ pub mod exponential;
 pub mod geo_i;
 pub mod hst_mechanism;
 pub mod laplace;
-pub mod psd;
 pub mod reach;
 pub mod weights;
 

@@ -63,6 +63,6 @@ fn main() {
 
     println!(
         "\nLower total distance is better; every mechanism above is \
-         eps-Geo-Indistinguishable. Run `pombm algorithms` for the full catalogue."
+         eps-Geo-Indistinguishable. Run `pombm list algorithms` for the full catalogue."
     );
 }

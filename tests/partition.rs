@@ -15,10 +15,9 @@
 
 use pombm::merge::{merge_dynamic, merge_static, MergeError};
 use pombm::sweep::{
-    dynamic_sweep_fingerprint, dynamic_sweep_job_count, run_dynamic_sweep,
-    run_dynamic_sweep_partition, run_dynamic_sweep_range, run_sweep, run_sweep_partition,
-    run_sweep_range, sweep_fingerprint, sweep_job_count, DynamicSweepConfig, PartitionPlan,
-    PartitionRun, SweepConfig,
+    dynamic_sweep_job_count, fingerprint, into_report, run_dynamic_sweep,
+    run_dynamic_sweep_partition, run_range, run_sweep, run_sweep_partition, sweep_job_count,
+    DynamicSweepConfig, PartialSweepReport, PartitionPlan, PartitionRun, SweepConfig,
 };
 use pombm::{PipelineConfig, PipelineError};
 use pombm_geom::seeded_rng;
@@ -57,6 +56,11 @@ fn dynamic_config(seed: u64) -> DynamicSweepConfig {
         grid_side: 16,
         seed,
     }
+}
+
+/// The global job-index range a partial covers.
+fn covers(partial: &PartialSweepReport) -> std::ops::Range<usize> {
+    partial.start..partial.start + partial.cells.len()
 }
 
 /// Deterministic ragged cut points for `total` jobs: always includes 0 and
@@ -118,7 +122,7 @@ proptest! {
         let cuts = ragged_cuts(total, cut_seed);
         let mut partials: Vec<_> = cuts
             .windows(2)
-            .map(|w| run_sweep_range(&config, w[0]..w[1]).unwrap())
+            .map(|w| run_range(&config, w[0]..w[1]).unwrap())
             .collect();
         partials.reverse(); // merge accepts partials in any order
         let merged = serde_json::to_string(&merge_static(&partials).unwrap()).unwrap();
@@ -130,7 +134,7 @@ proptest! {
         let cuts = ragged_cuts(total, cut_seed);
         let mut partials: Vec<_> = cuts
             .windows(2)
-            .map(|w| run_dynamic_sweep_range(&config, w[0]..w[1]).unwrap())
+            .map(|w| run_range(&config, w[0]..w[1]).unwrap())
             .collect();
         partials.reverse();
         let merged = serde_json::to_string(&merge_dynamic(&partials).unwrap()).unwrap();
@@ -151,7 +155,7 @@ proptest! {
         let cuts = ragged_cuts(total, cut_seed);
         let partials: Vec<_> = cuts
             .windows(2)
-            .map(|w| run_sweep_range(&config, w[0]..w[1]).unwrap())
+            .map(|w| run_range(&config, w[0]..w[1]).unwrap())
             .collect();
         let victim = victim % partials.len();
 
@@ -159,7 +163,7 @@ proptest! {
         let removed = gappy.remove(victim);
         match merge_static(&gappy) {
             Err(MergeError::Gap { job }) => {
-                prop_assert!(removed.covers().contains(&job), "gap {} outside victim", job);
+                prop_assert!(covers(&removed).contains(&job), "gap {} outside victim", job);
             }
             // Removing the only slice leaves nothing at all.
             Err(MergeError::NoPartials) => prop_assert!(gappy.is_empty()),
@@ -171,7 +175,7 @@ proptest! {
         match merge_static(&overlapping) {
             Err(MergeError::Overlap { job }) => {
                 prop_assert!(
-                    partials[victim].covers().contains(&job),
+                    covers(&partials[victim]).contains(&job),
                     "overlap {} outside victim", job
                 );
             }
@@ -261,7 +265,7 @@ fn ratio_partitions_merge_byte_exactly() {
     let cuts = ragged_cuts(total, 99);
     let mut partials: Vec<_> = cuts
         .windows(2)
-        .map(|w| run_dynamic_sweep_range(&config, w[0]..w[1]).unwrap())
+        .map(|w| run_range(&config, w[0]..w[1]).unwrap())
         .collect();
     partials.reverse();
     let merged = serde_json::to_string(&merge_dynamic(&partials).unwrap()).unwrap();
@@ -271,10 +275,7 @@ fn ratio_partitions_merge_byte_exactly() {
     // so mixed ratio/plain partials can never silently merge.
     let mut plain = config.clone();
     plain.ratio = false;
-    assert_ne!(
-        dynamic_sweep_fingerprint(&config).unwrap(),
-        dynamic_sweep_fingerprint(&plain).unwrap()
-    );
+    assert_ne!(fingerprint(&config).unwrap(), fingerprint(&plain).unwrap());
 }
 
 /// The partial-report JSON field names are a public contract (CI
@@ -283,7 +284,7 @@ fn ratio_partitions_merge_byte_exactly() {
 #[test]
 fn partial_report_json_fields_are_pinned() {
     let config = static_config(1);
-    let partial = run_sweep_range(&config, 0..2).unwrap();
+    let partial = run_range(&config, 0..2).unwrap();
     let value = serde_json::to_value(&partial).unwrap();
     let keys: Vec<&str> = value
         .as_object()
@@ -309,7 +310,7 @@ fn partial_report_json_fields_are_pinned() {
     assert_eq!(value["flavor"], "static");
 
     let config = dynamic_config(1);
-    let partial = run_dynamic_sweep_range(&config, 0..2).unwrap();
+    let partial = run_range(&config, 0..2).unwrap();
     let value = serde_json::to_value(&partial).unwrap();
     let keys: Vec<&str> = value
         .as_object()
@@ -342,7 +343,7 @@ fn partial_report_json_fields_are_pinned() {
 fn partial_report_json_roundtrip_is_exact() {
     let config = static_config(5);
     let total = sweep_job_count(&config).unwrap();
-    let partial = run_sweep_range(&config, 0..total).unwrap();
+    let partial = run_range(&config, 0..total).unwrap();
     let json = serde_json::to_string(&partial).unwrap();
     let back: pombm::PartialSweepReport = serde_json::from_str(&json).unwrap();
     assert_eq!(json, serde_json::to_string(&back).unwrap());
@@ -357,13 +358,13 @@ fn partial_report_json_roundtrip_is_exact() {
 #[test]
 fn fingerprint_tracks_job_semantics_only() {
     let base = static_config(3);
-    let fp = sweep_fingerprint(&base).unwrap();
+    let fp = fingerprint(&base).unwrap();
 
     let mut parallel = base.clone();
     parallel.shards = 7;
     parallel.timings = true;
     parallel.base.threads = 4;
-    assert_eq!(fp, sweep_fingerprint(&parallel).unwrap());
+    assert_eq!(fp, fingerprint(&parallel).unwrap());
 
     for (label, changed) in [
         ("seed", {
@@ -397,12 +398,12 @@ fn fingerprint_tracks_job_semantics_only() {
             c
         }),
     ] {
-        assert_ne!(fp, sweep_fingerprint(&changed).unwrap(), "{label}");
+        assert_ne!(fp, fingerprint(&changed).unwrap(), "{label}");
     }
 
     // Dynamic fingerprints live in a different namespace entirely.
     let dynamic = dynamic_config(3);
-    assert_ne!(fp, dynamic_sweep_fingerprint(&dynamic).unwrap());
+    assert_ne!(fp, fingerprint(&dynamic).unwrap());
 }
 
 fn checkpoint_dir(name: &str) -> std::path::PathBuf {
@@ -461,11 +462,7 @@ fn checkpointed_runs_resume_byte_identically() {
     let (partial, stats) = run_sweep_partition(&config, &run).unwrap();
     assert_eq!(stats.resumed, total);
     assert_eq!(stats.computed, 0);
-    let report = pombm::SweepReport {
-        seed: partial.seed,
-        repetitions: partial.repetitions,
-        cells: partial.cells,
-    };
+    let report = into_report::<SweepConfig>(partial);
     assert_eq!(serde_json::to_string(&report).unwrap(), fresh);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -490,11 +487,7 @@ fn cross_timings_resume_stays_byte_identical() {
     let (partial, stats) = run_sweep_partition(&untimed, &full).unwrap();
     assert!(stats.resumed > 0, "the timed run must seed the resume");
     assert!(partial.cells.iter().all(|c| c.wall_ms.is_none()));
-    let report = pombm::SweepReport {
-        seed: partial.seed,
-        repetitions: partial.repetitions,
-        cells: partial.cells,
-    };
+    let report = into_report::<SweepConfig>(partial);
     let fresh = serde_json::to_string(&run_sweep(&untimed).unwrap()).unwrap();
     assert_eq!(serde_json::to_string(&report).unwrap(), fresh);
     let _ = std::fs::remove_dir_all(&dir);
@@ -552,10 +545,7 @@ fn checkpoint_isolation_and_truncation_tolerance() {
 
     // Truncate the static log mid-line (as a kill would): the damaged
     // entry is recomputed and the output is still byte-identical.
-    let log = dir.join(format!(
-        "static-{}.jsonl",
-        sweep_fingerprint(&config).unwrap()
-    ));
+    let log = dir.join(format!("static-{}.jsonl", fingerprint(&config).unwrap()));
     let text = std::fs::read_to_string(&log).unwrap();
     assert_eq!(text.lines().count(), total);
     std::fs::write(&log, &text[..text.len() - 9]).unwrap();
@@ -572,12 +562,7 @@ fn checkpoint_isolation_and_truncation_tolerance() {
 /// Serializes a full-plan partial as the equivalent single-process
 /// [`pombm::SweepReport`] for byte comparison against `run_sweep`.
 fn as_full_report(partial: pombm::sweep::PartialSweepReport) -> String {
-    serde_json::to_string(&pombm::SweepReport {
-        seed: partial.seed,
-        repetitions: partial.repetitions,
-        cells: partial.cells,
-    })
-    .unwrap()
+    serde_json::to_string(&into_report::<SweepConfig>(partial)).unwrap()
 }
 
 /// The crash-consistency contract of the append-only log: each line is a
@@ -592,7 +577,7 @@ fn checkpoint_tail_corruption_recomputes() {
     let config = static_config(23);
     let total = sweep_job_count(&config).unwrap();
     let fresh = serde_json::to_string(&run_sweep(&config).unwrap()).unwrap();
-    let log_name = format!("static-{}.jsonl", sweep_fingerprint(&config).unwrap());
+    let log_name = format!("static-{}.jsonl", fingerprint(&config).unwrap());
     let full = PartitionRun {
         plan: PartitionPlan::full(),
         checkpoint: None, // filled per case
@@ -656,10 +641,7 @@ fn checkpoint_out_of_bounds_index_recomputes() {
         max_cells: None,
     };
     run_sweep_partition(&config, &run).unwrap();
-    let log = dir.join(format!(
-        "static-{}.jsonl",
-        sweep_fingerprint(&config).unwrap()
-    ));
+    let log = dir.join(format!("static-{}.jsonl", fingerprint(&config).unwrap()));
     let text = std::fs::read_to_string(&log).unwrap();
     let mut lines: Vec<String> = text.lines().map(String::from).collect();
     assert_eq!(lines.len(), total);

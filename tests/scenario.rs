@@ -14,9 +14,8 @@
 
 use pombm::merge::{merge_dynamic, merge_static};
 use pombm::sweep::{
-    dynamic_sweep_fingerprint, run_dynamic_sweep, run_dynamic_sweep_partition, run_sweep,
-    run_sweep_partition, sweep_fingerprint, DynamicSweepConfig, PartitionPlan, PartitionRun,
-    SweepConfig,
+    fingerprint, run_dynamic_sweep, run_dynamic_sweep_partition, run_sweep, run_sweep_partition,
+    DynamicSweepConfig, PartitionPlan, PartitionRun, SweepConfig,
 };
 use pombm::{registry, PipelineConfig, DEFAULT_SCENARIO};
 use proptest::prelude::*;
@@ -119,15 +118,15 @@ fn empty_axis_is_the_uniform_default() {
         serde_json::to_string(&run_sweep(&explicit).unwrap()).unwrap(),
     );
     assert_eq!(
-        sweep_fingerprint(&legacy).unwrap(),
-        sweep_fingerprint(&explicit).unwrap(),
+        fingerprint(&legacy).unwrap(),
+        fingerprint(&explicit).unwrap(),
     );
     // A non-default axis is a different grid and must not share the
     // fingerprint namespace (stale checkpoints would resume wrong cells).
     let widened = static_config(vec!["uniform".into(), "normal".into()], 7);
     assert_ne!(
-        sweep_fingerprint(&legacy).unwrap(),
-        sweep_fingerprint(&widened).unwrap(),
+        fingerprint(&legacy).unwrap(),
+        fingerprint(&widened).unwrap(),
     );
 
     let legacy = dynamic_config(Vec::new(), 7);
@@ -137,8 +136,8 @@ fn empty_axis_is_the_uniform_default() {
         serde_json::to_string(&run_dynamic_sweep(&explicit).unwrap()).unwrap(),
     );
     assert_eq!(
-        dynamic_sweep_fingerprint(&legacy).unwrap(),
-        dynamic_sweep_fingerprint(&explicit).unwrap(),
+        fingerprint(&legacy).unwrap(),
+        fingerprint(&explicit).unwrap(),
     );
 }
 

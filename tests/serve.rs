@@ -549,6 +549,132 @@ fn channel_closed_is_a_typed_transport_error() {
     assert_eq!(error.to_string(), "serve transport: channel closed");
 }
 
+/// Replays a hand-built frame script on every dynamic matcher and checks
+/// what a session must guarantee whatever arrives: the rejected frames
+/// are exactly `classes` (Transport class, count), `total_distance` is
+/// finite, the report survives a JSON round-trip byte for byte, and no
+/// worker serves a task that arrived before its check-in. Returns each
+/// matcher's outcome.
+fn replay_on_every_matcher(
+    script: &[ServeRequest],
+    classes: &[(&str, usize)],
+) -> Vec<pombm::ServeOutcome> {
+    let mut checked_in = std::collections::BTreeMap::new();
+    let mut arrived = std::collections::BTreeMap::new();
+    for request in script {
+        match *request {
+            ServeRequest::CheckIn { worker, at, .. } => {
+                checked_in.insert(worker, at);
+            }
+            ServeRequest::Task { task, at, .. } => {
+                arrived.insert(task, at);
+            }
+            _ => {}
+        }
+    }
+    let frames: Vec<Bytes> = script.iter().map(ServeRequest::encode).collect();
+    ["hst-greedy", "kd-rebuild", "random"]
+        .into_iter()
+        .map(|matcher| {
+            let config = ServeConfig {
+                matcher: matcher.into(),
+                ..config(7)
+            };
+            let outcome = serve_frames(&config, frames.clone()).unwrap();
+            for &(task, worker) in &outcome.assignments {
+                if let Some(worker) = worker {
+                    assert!(
+                        checked_in[&worker] <= arrived[&task],
+                        "{matcher}: worker {worker} served task {task} before its shift"
+                    );
+                }
+            }
+            let report = &outcome.report;
+            assert!(report.total_distance.is_finite(), "{matcher}");
+            let json = serde_json::to_string(report).unwrap();
+            let back: pombm::ServeReport = serde_json::from_str(&json).unwrap();
+            assert_eq!(serde_json::to_string(&back).unwrap(), json, "{matcher}");
+            let faults = report.faults.as_ref().expect("rejections force the block");
+            let found: Vec<(&str, usize)> = faults
+                .corrupt_classes
+                .iter()
+                .map(|(class, &n)| (class.as_str(), n))
+                .collect();
+            assert_eq!(found, classes, "{matcher}");
+            outcome
+        })
+        .collect()
+}
+
+fn check_in(worker: u64, at: f64, x: f64, y: f64) -> ServeRequest {
+    ServeRequest::CheckIn { worker, at, x, y }
+}
+
+fn task(task: u64, at: f64, x: f64, y: f64) -> ServeRequest {
+    ServeRequest::Task { task, at, x, y }
+}
+
+/// NaN and infinite fields and negative timestamps are rejected at
+/// decode under their own Transport classes — before they can land in
+/// window 0 or `u64::MAX`, or poison the distance tally — and the session
+/// keeps serving the intact frames.
+#[test]
+fn poison_values_are_rejected_on_every_matcher() {
+    use pombm::serve::{NEGATIVE_TIMESTAMP, NON_FINITE_FIELD};
+    let script = [
+        check_in(1, 0.5, 10.0, 10.0),
+        task(1, f64::NAN, 11.0, 11.0),
+        task(2, 1.0, f64::INFINITY, 11.0),
+        check_in(2, -1.0, 12.0, 12.0),
+        ServeRequest::CheckOut {
+            worker: 1,
+            at: f64::NAN,
+        },
+        task(3, f64::INFINITY, 11.0, 11.0),
+        task(4, 2.0, 11.0, f64::NEG_INFINITY),
+        task(5, 6.0, 11.0, 11.0),
+        ServeRequest::Shutdown,
+    ];
+    for outcome in
+        replay_on_every_matcher(&script, &[(NEGATIVE_TIMESTAMP, 1), (NON_FINITE_FIELD, 5)])
+    {
+        assert_eq!(outcome.report.requests, 2, "only intact frames count");
+        assert_eq!(outcome.assignments, [(5, Some(1))]);
+    }
+    let mut frame = ServeRequest::CheckOut {
+        worker: 1,
+        at: -0.5,
+    }
+    .encode();
+    assert!(matches!(
+        ServeRequest::decode(&mut frame),
+        Err(PipelineError::Transport {
+            why: NEGATIVE_TIMESTAMP
+        })
+    ));
+    assert_eq!(frame.remaining(), 0, "a rejected frame is still consumed");
+}
+
+/// A frame for a window that has already flushed is a `late frame`, not a
+/// rewind: replaying it would let a worker who checked in at t = 500
+/// serve a task stamped t = 7.
+#[test]
+fn late_frames_never_rewind_the_engine() {
+    use pombm::serve::LATE_FRAME;
+    let script = [
+        check_in(1, 0.5, 10.0, 10.0),
+        task(1, 6.0, 11.0, 11.0),
+        check_in(2, 500.0, 900.0, 900.0),
+        task(2, 7.0, 12.0, 12.0),
+        task(3, 501.0, 899.0, 899.0),
+        ServeRequest::Shutdown,
+    ];
+    for outcome in replay_on_every_matcher(&script, &[(LATE_FRAME, 1)]) {
+        assert_eq!(outcome.report.requests, 4);
+        assert_eq!(outcome.assignments, [(1, Some(1)), (3, Some(2))]);
+    }
+}
+
 // --- batched pools (satellite: insert_batch ≡ single inserts) ----------
 
 proptest! {
