@@ -582,9 +582,7 @@ fn jobs<K: SweepKind>(config: &K) -> Result<JobList<K::Job>, PipelineError> {
     Ok((jobs, resolved.fingerprint))
 }
 
-/// Number of jobs (cells) the grid expands to — the space a
-/// [`PartitionPlan`] slices. Fails on the same configuration errors as
-/// [`run`].
+/// Number of jobs (cells) the grid expands to.
 fn job_count<K: SweepKind>(config: &K) -> Result<usize, PipelineError> {
     Ok(jobs(config)?.0.len())
 }
